@@ -1,28 +1,28 @@
-"""Hot numeric kernels with selectable backends.
+"""Hot numeric kernels of the multiple-testing mixture.
 
 The pairwise mixture-marginal accumulations behind the multiple-testing
 factor and the simulation harness are O(m^2) per batch (per replicate) and
-dominate runtime at scale.  They are implemented twice: as numba @njit
-loops and as vectorized numpy, with the active backend chosen by the
-EBFKIT_BACKEND environment variable ("numba" or "numpy"; default numba,
-falling back to numpy when numba is unavailable).  Both backends agree to
-floating-point noise; benchmarks/bench_backends.py compares their speed.
+dominate runtime at scale.  Both are vectorized numpy.  The batch kernel
+walks the m x m pairwise terms in tiles of whole rows holding about
+``_TILE_ELEMENTS`` entries each, so its working memory is O(m * tile)
+rather than O(m^2).  ``_log_ndtr_scalar`` and ``_log_mass_scalar`` are the
+scalar reference that ``multitest.cross_marginal`` builds single terms
+from.
 
-Region encoding shared by both backends: kind 0 point, 1 below (-inf, a),
-2 above (a, inf), 3 interval (a, b), 4 full line.
+Region encoding: kind 0 point, 1 below (-inf, a), 2 above (a, inf),
+3 interval (a, b), 4 full line.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from scipy.special import log_ndtr
 
 __all__ = [
     "KIND_POINT", "KIND_BELOW", "KIND_ABOVE", "KIND_INTERVAL", "KIND_FULL",
-    "active_backend", "set_backend", "available_backends",
-    "mixture_log_marginals", "replicate_mixture_log_marginals",
+    "active_backend", "mixture_log_marginals", "replicate_mixture_log_marginals",
 ]
 
 KIND_POINT, KIND_BELOW, KIND_ABOVE, KIND_INTERVAL, KIND_FULL = 0, 1, 2, 3, 4
@@ -30,40 +30,17 @@ KIND_POINT, KIND_BELOW, KIND_ABOVE, KIND_INTERVAL, KIND_FULL = 0, 1, 2, 3, 4
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-try:
-    import numba as _numba
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _numba = None
-    _HAVE_NUMBA = False
-
-_backend = os.environ.get("EBFKIT_BACKEND", "numba" if _HAVE_NUMBA else "numpy").lower()
-if _backend not in ("numba", "numpy"):
-    raise ValueError(f"EBFKIT_BACKEND must be 'numba' or 'numpy', got {_backend!r}")
-if _backend == "numba" and not _HAVE_NUMBA:
-    _backend = "numpy"
+# Entries in one (rows x m) working array of the batch kernel.  2**16
+# float64 values (512 KiB) stay within a typical L2 cache; at m = 2000 on a
+# 2-core Xeon, tiles of 2**14..2**16 entries ran fastest and 2**20 lost most
+# of the gain.
+_TILE_ELEMENTS = 1 << 16
 
 
 def active_backend() -> str:
-    return _backend
+    """The kernel implementation in use; numpy is the only one."""
+    return "numpy"
 
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def set_backend(name: str) -> None:
-    """Switch backend at runtime (used by tests and benchmarks)."""
-    global _backend
-    if name not in available_backends():
-        raise ValueError(f"backend {name!r} not available")
-    _backend = name
-
-
-# --------------------------------------------------------------------------
-# shared scalar pieces, written once in plain Python so the numba and numpy
-# paths execute the same formulas
-# --------------------------------------------------------------------------
 
 def _log_ndtr_scalar(z):
     """log Phi(z) with an asymptotic branch far into the lower tail."""
@@ -97,177 +74,55 @@ def _log_mass_scalar(kind, a, b, mu, sd):
     return lb + math.log1p(-math.exp(diff))
 
 
-if _HAVE_NUMBA:
-
-    @_numba.njit(cache=True)
-    def _log_ndtr_nb(z):
-        if z > 6.0:
-            return math.log1p(-0.5 * math.erfc(z * _SQRT1_2))
-        if z > -37.0:
-            return math.log(0.5 * math.erfc(-z * _SQRT1_2))
-        zi = 1.0 / z
-        zi2 = zi * zi
-        series = 1.0 + zi2 * (-1.0 + zi2 * (3.0 + zi2 * (-15.0 + zi2 * 105.0)))
-        return -0.5 * z * z - math.log(-z) - 0.5 * _LOG_2PI + math.log(series)
-
-    @_numba.njit(cache=True)
-    def _log_mass_nb(kind, a, b, mu, sd):
-        if kind == KIND_FULL:
-            return 0.0
-        if kind == KIND_BELOW:
-            return _log_ndtr_nb((a - mu) / sd)
-        if kind == KIND_ABOVE:
-            return _log_ndtr_nb((mu - a) / sd)
-        alpha = (a - mu) / sd
-        beta = (b - mu) / sd
-        if alpha + beta > 0.0:
-            alpha, beta = -beta, -alpha
-        lb = _log_ndtr_nb(beta)
-        la = _log_ndtr_nb(alpha)
-        diff = la - lb
-        if diff >= 0.0:
-            return -math.inf
-        return lb + math.log1p(-math.exp(diff))
-
-    @_numba.njit(cache=True)
-    def _mixture_row_nb(i, x, var, kind, a, b, log_pi, log_own_weight, buf):
-        m = x.shape[0]
-        best = -math.inf
-        for j in range(m):
-            v = var[i] + var[j]
-            lpdf = -0.5 * ((x[i] - x[j]) ** 2 / v + math.log(v) + _LOG_2PI)
-            if kind == KIND_FULL:
-                lmass = 0.0
-            else:
-                pv = var[i] * var[j] / v
-                pm = (x[i] * var[j] + x[j] * var[i]) / v
-                lmass = _log_mass_nb(kind, a, b, pm, math.sqrt(pv))
-            w = log_own_weight if j == i else log_pi
-            t = lpdf + lmass + w
-            buf[j] = t
-            if t > best:
-                best = t
-        if best == -math.inf:
-            return -math.inf
-        acc = 0.0
-        for j in range(m):
-            acc += math.exp(buf[j] - best)
-        return best + math.log(acc)
-
-    @_numba.njit(cache=True)
-    def _mixture_kernel_nb(x, var, kind, a, b, pi_h, own_bias, out):
-        m = x.shape[0]
-        log_pi = math.log(pi_h)
-        log_own = -own_bias
-        if kind == KIND_POINT:
-            for i in range(m):
-                out[i] = -0.5 * ((x[i] - a) ** 2 / var[i]
-                                 + math.log(var[i]) + _LOG_2PI)
-            return
-        den_terms = np.empty(m)
-        for j in range(m):
-            den_terms[j] = math.exp(
-                _log_mass_nb(kind, a, b, x[j], math.sqrt(var[j])))
-        total = 0.0
-        for j in range(m):
-            total += den_terms[j]
-        buf = np.empty(m)
-        for i in range(m):
-            num = _mixture_row_nb(i, x, var, kind, a, b, log_pi, log_own, buf)
-            den = den_terms[i] + pi_h * (total - den_terms[i])
-            out[i] = num - math.log(den)
-
-    @_numba.njit(cache=True)
-    def _replicate_kernel_nb(x, centers, var, pi_h, own_log_weight, out):
-        n_rep, m = x.shape
-        log_pi = math.log(pi_h)
-        v = 2.0 * var
-        lc = math.log(v) + _LOG_2PI
-        log_norm = math.log1p(pi_h * (m - 1))
-        buf = np.empty(m)
-        for r in range(n_rep):
-            for i in range(m):
-                best = -math.inf
-                for j in range(m):
-                    t = -0.5 * ((x[r, i] - centers[r, j]) ** 2 / v + lc)
-                    t += own_log_weight if j == i else log_pi
-                    buf[j] = t
-                    if t > best:
-                        best = t
-                acc = 0.0
-                for j in range(m):
-                    acc += math.exp(buf[j] - best)
-                out[r, i] = best + math.log(acc) - log_norm
-
-
-# --------------------------------------------------------------------------
-# vectorized numpy fallback
-# --------------------------------------------------------------------------
-
-def _log_ndtr_np(z):
-    from scipy.special import erfc as _erfc
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    hi = z > 6.0
-    lo = z < -37.0
-    mid = ~(hi | lo)
-    with np.errstate(divide="ignore"):
-        if hi.any():
-            out[hi] = np.log1p(-0.5 * _erfc(z[hi] * _SQRT1_2))
-        if mid.any():
-            out[mid] = np.log(0.5 * _erfc(-z[mid] * _SQRT1_2))
-        if lo.any():
-            zi2 = 1.0 / (z[lo] * z[lo])
-            series = 1.0 + zi2 * (-1.0 + zi2 * (3.0 + zi2 * (-15.0 + zi2 * 105.0)))
-            out[lo] = (-0.5 * z[lo] ** 2 - np.log(-z[lo]) - 0.5 * _LOG_2PI
-                       + np.log(series))
-    return out
-
-
-def _log_mass_np(kind, a, b, mu, sd):
+def _log_mass(kind, a, b, mu, sd):
+    """Elementwise log of the N(mu, sd^2) mass of an encoded non-point
+    region: the array form of ``_log_mass_scalar``."""
     if kind == KIND_FULL:
         return np.zeros(np.broadcast(mu, sd).shape)
     if kind == KIND_BELOW:
-        return _log_ndtr_np((a - mu) / sd)
+        return log_ndtr((a - mu) / sd)
     if kind == KIND_ABOVE:
-        return _log_ndtr_np((mu - a) / sd)
+        return log_ndtr((mu - a) / sd)
     alpha = (a - mu) / sd
     beta = (b - mu) / sd
     flip = alpha + beta > 0.0
-    alpha2 = np.where(flip, -beta, alpha)
-    beta2 = np.where(flip, -alpha, beta)
-    lb = _log_ndtr_np(beta2)
-    la = _log_ndtr_np(alpha2)
+    lb = log_ndtr(np.where(flip, -alpha, beta))
+    la = log_ndtr(np.where(flip, -beta, alpha))
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = la - lb
-        out = np.where(diff < 0.0, lb + np.log1p(-np.exp(np.minimum(diff, -1e-300))),
-                       -np.inf)
-    return out
+        return np.where(diff < 0.0,
+                        lb + np.log1p(-np.exp(np.minimum(diff, -1e-300))), -np.inf)
 
 
 def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
-    m = x.shape[0]
     if kind == KIND_POINT:
         out[:] = -0.5 * ((x - a) ** 2 / var + np.log(var) + _LOG_2PI)
         return
-    v = var[:, None] + var[None, :]
-    lpdf = -0.5 * ((x[:, None] - x[None, :]) ** 2 / v + np.log(v) + _LOG_2PI)
-    if kind == KIND_FULL:
-        lmass = 0.0
-    else:
-        pv = var[:, None] * var[None, :] / v
-        pm = (x[:, None] * var[None, :] + x[None, :] * var[:, None]) / v
-        lmass = _log_mass_np(kind, a, b, pm, np.sqrt(pv))
-    logw = np.where(np.eye(m, dtype=bool), -own_bias, math.log(pi_h))
-    terms = lpdf + lmass + logw
-    best = terms.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.where(np.isfinite(best[:, 0]),
-                       best[:, 0] + np.log(np.sum(np.exp(terms - best), axis=1)),
-                       -math.inf)
-    den_terms = np.exp(_log_mass_np(kind, a, b, x, np.sqrt(var)))
-    den = den_terms + pi_h * (den_terms.sum() - den_terms)
-    out[:] = num - np.log(den)
+    m = x.shape[0]
+    log_pi = math.log(pi_h)
+    den = np.exp(_log_mass(kind, a, b, x, np.sqrt(var)))
+    den += pi_h * (den.sum() - den)
+    rows = max(1, _TILE_ELEMENTS // m)
+    for i0 in range(0, m, rows):
+        i = np.arange(i0, min(i0 + rows, m))
+        xi, vi = x[i, None], var[i, None]
+        v = vi + var
+        terms = -0.5 * ((xi - x) ** 2 / v + np.log(v) + _LOG_2PI)
+        if kind != KIND_FULL:
+            terms += _log_mass(kind, a, b, (xi * var + x * vi) / v,
+                               np.sqrt(vi * var / v))
+        diag = (i - i0, i)
+        own = terms[diag] - own_bias
+        terms += log_pi
+        terms[diag] = own
+        best = terms.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            terms -= best
+        np.exp(terms, out=terms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = np.where(np.isfinite(best[:, 0]),
+                           best[:, 0] + np.log(terms.sum(axis=1)), -math.inf)
+        out[i] = num - np.log(den[i])
 
 
 def _replicate_kernel_np(x, centers, var, pi_h, own_log_weight, out):
@@ -287,10 +142,6 @@ def _replicate_kernel_np(x, centers, var, pi_h, own_log_weight, out):
                               - log_norm)
 
 
-# --------------------------------------------------------------------------
-# dispatch
-# --------------------------------------------------------------------------
-
 def mixture_log_marginals(x, standard_errors, kind, a, b, pi_h, own_bias):
     """Per-test log mixture marginal of one region for a batch of normal
     statistics.  The own-data term is down-weighted by exp(-own_bias); the
@@ -300,10 +151,7 @@ def mixture_log_marginals(x, standard_errors, kind, a, b, pi_h, own_bias):
     out = np.empty_like(x)
     af = float(a) if a is not None else 0.0
     bf = float(b) if b is not None else 0.0
-    if _backend == "numba":
-        _mixture_kernel_nb(x, var, kind, af, bf, float(pi_h), float(own_bias), out)
-    else:
-        _mixture_kernel_np(x, var, kind, af, bf, float(pi_h), float(own_bias), out)
+    _mixture_kernel_np(x, var, kind, af, bf, float(pi_h), float(own_bias), out)
     return out
 
 
@@ -317,10 +165,6 @@ def replicate_mixture_log_marginals(x, centers, variance, pi_h, own_log_weight):
     x = np.ascontiguousarray(x, dtype=float)
     centers = np.ascontiguousarray(centers, dtype=float)
     out = np.empty_like(x)
-    if _backend == "numba":
-        _replicate_kernel_nb(x, centers, float(variance), float(pi_h),
-                             float(own_log_weight), out)
-    else:
-        _replicate_kernel_np(x, centers, float(variance), float(pi_h),
-                             float(own_log_weight), out)
+    _replicate_kernel_np(x, centers, float(variance), float(pi_h),
+                         float(own_log_weight), out)
     return out

@@ -73,6 +73,8 @@ class MultiTestBatch:
             raise DomainError("estimates and standard errors must be equal-length, nonempty")
         if len(self.ids) != est.size:
             raise DomainError("ids must match the number of tests")
+        if not (np.all(np.isfinite(est)) and np.all(np.isfinite(se))):
+            raise DomainError("estimates and standard errors must be finite")
         if np.any(se <= 0):
             raise DomainError("standard errors must be positive")
         if not 0.0 < self.pi_h <= 1.0:

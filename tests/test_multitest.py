@@ -25,6 +25,17 @@ class TestBatchValidation:
         with pytest.raises(DomainError):
             _batch([1.0, 2.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("x, se", [
+        ([1.0, math.nan], [1.0, 1.0]),
+        ([1.0, math.inf], [1.0, 1.0]),
+        ([-math.inf, 1.0], [1.0, 1.0]),
+        ([1.0, 2.0], [math.nan, 1.0]),
+        ([1.0, 2.0], [1.0, math.inf]),
+    ])
+    def test_rejects_nonfinite(self, x, se):
+        with pytest.raises(DomainError, match="finite"):
+            _batch(x, se)
+
     def test_rejects_bad_pi(self):
         with pytest.raises(DomainError):
             _batch([1.0], pi_h=0.0)
