@@ -5,9 +5,17 @@ factor and the simulation harness are O(m^2) per batch (per replicate) and
 dominate runtime at scale.  Both are vectorized numpy.  The batch kernel
 walks the m x m pairwise terms in tiles of whole rows holding about
 ``_TILE_ELEMENTS`` entries each, so its working memory is O(m * tile)
-rather than O(m^2).  ``_log_ndtr_scalar`` and ``_log_mass_scalar`` are the
-scalar reference that ``multitest.cross_marginal`` builds single terms
-from.
+rather than O(m^2).
+
+Each tile is summed in the linear domain: shifted by the row max of the
+Gaussian part only, every pair's term is a product of exp, 1/sqrt(v) and a
+region mass from ``ndtr``, which costs far less than ``log_ndtr`` and the
+pairwise posterior mean and sd it would need.  A row whose region lies
+beyond the tail of every posterior underflows there; it alone is recomputed
+by the log-domain tile (``_log_rows``), so results match the log-domain
+sum over the whole range.  ``_log_mass_scalar``, on
+``numerics.special.log_ndtr_scalar``, is the scalar reference that
+``multitest.cross_marginal`` builds single terms from.
 
 Region encoding: kind 0 point, 1 below (-inf, a), 2 above (a, inf),
 3 interval (a, b), 4 full line.
@@ -18,7 +26,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
+
+from ebfkit.numerics.special import log_ndtr_scalar
 
 __all__ = [
     "KIND_POINT", "KIND_BELOW", "KIND_ABOVE", "KIND_INTERVAL", "KIND_FULL",
@@ -28,7 +38,6 @@ __all__ = [
 KIND_POINT, KIND_BELOW, KIND_ABOVE, KIND_INTERVAL, KIND_FULL = 0, 1, 2, 3, 4
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 # Entries in one (rows x m) working array of the batch kernel.  2**16
 # float64 values (512 KiB) stay within a typical L2 cache; at m = 2000 on a
@@ -36,22 +45,15 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 # of the gain.
 _TILE_ELEMENTS = 1 << 16
 
+# A row of the linear-domain tile whose scaled sum falls below this has lost
+# its terms to underflow and is recomputed in the log domain.  Only rows
+# whose region lies beyond the tail of every posterior get there.
+_LINEAR_FLOOR = 1e-280
+
 
 def active_backend() -> str:
     """The kernel implementation in use; numpy is the only one."""
     return "numpy"
-
-
-def _log_ndtr_scalar(z):
-    """log Phi(z) with an asymptotic branch far into the lower tail."""
-    if z > 6.0:
-        return math.log1p(-0.5 * math.erfc(z * _SQRT1_2))
-    if z > -37.0:
-        return math.log(0.5 * math.erfc(-z * _SQRT1_2))
-    zi = 1.0 / z
-    zi2 = zi * zi
-    series = 1.0 + zi2 * (-1.0 + zi2 * (3.0 + zi2 * (-15.0 + zi2 * 105.0)))
-    return -0.5 * z * z - math.log(-z) - 0.5 * _LOG_2PI + math.log(series)
 
 
 def _log_mass_scalar(kind, a, b, mu, sd):
@@ -59,15 +61,15 @@ def _log_mass_scalar(kind, a, b, mu, sd):
     if kind == KIND_FULL:
         return 0.0
     if kind == KIND_BELOW:
-        return _log_ndtr_scalar((a - mu) / sd)
+        return log_ndtr_scalar((a - mu) / sd)
     if kind == KIND_ABOVE:
-        return _log_ndtr_scalar((mu - a) / sd)
+        return log_ndtr_scalar((mu - a) / sd)
     alpha = (a - mu) / sd
     beta = (b - mu) / sd
     if alpha + beta > 0.0:
         alpha, beta = -beta, -alpha
-    lb = _log_ndtr_scalar(beta)
-    la = _log_ndtr_scalar(alpha)
+    lb = log_ndtr_scalar(beta)
+    la = log_ndtr_scalar(alpha)
     diff = la - lb
     if diff >= 0.0:
         return -math.inf
@@ -94,35 +96,106 @@ def _log_mass(kind, a, b, mu, sd):
                         lb + np.log1p(-np.exp(np.minimum(diff, -1e-300))), -np.inf)
 
 
+def _log_rows(x, var, kind, a, b, log_pi, own_bias, i):
+    """Log-domain numerators of rows i: log sum_j w_ij N(x_i; x_j, v_i + v_j)
+    times the mass test j's posterior, updated by x_i, puts on the region."""
+    xi, vi = x[i, None], var[i, None]
+    v = vi + var
+    terms = -0.5 * ((xi - x) ** 2 / v + np.log(v) + _LOG_2PI)
+    if kind != KIND_FULL:
+        terms += _log_mass(kind, a, b, (xi * var + x * vi) / v,
+                           np.sqrt(vi * var / v))
+    diag = (np.arange(i.size), i)
+    own = terms[diag] - own_bias
+    terms += log_pi
+    terms[diag] = own
+    best = terms.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        terms -= best
+    np.exp(terms, out=terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isfinite(best[:, 0]),
+                        best[:, 0] + np.log(terms.sum(axis=1)), -math.inf)
+
+
+def _linear_rows(x, sd, var, kind, za, zb, log_pi, own_bias, i):
+    """The numerators of ``_log_rows`` in the linear domain; NaN marks a row
+    whose scaled sum fell below ``_LINEAR_FLOOR``.
+
+    With r = 1 / sqrt(v_i + v_j) and t = (x_i - x_j) r, a pair's term is
+    w_ij exp(-t^2 / 2) r mass_ij / sqrt(2 pi).  Each row is shifted by the max
+    of its Gaussian part only.  The mass is a standard normal CDF at
+    (sd_j z_i + sd_i z_j) r, where z_k standardizes a bound by test k's own
+    posterior, so the pairwise posterior mean and sd are never formed.
+    """
+    vi = var[i, None]
+    r = vi + var
+    np.sqrt(r, out=r)
+    np.reciprocal(r, out=r)
+    g = x[i, None] - x
+    g *= r
+    np.square(g, out=g)
+    g *= -0.5
+    g += log_pi
+    g[np.arange(i.size), i] = -own_bias  # t_ii = 0
+    shift = g.max(axis=1)
+    g -= shift[:, None]
+    np.exp(g, out=g)
+    g *= r
+    if kind != KIND_FULL:
+        sdi = sd[i, None]
+        z = za[i, None] * sd
+        z += sdi * za
+        z *= r
+        if kind == KIND_INTERVAL:
+            # za and zb hold the centre c and half-width h of the standardized
+            # interval; flipped into the lower tail it is (-|c| - h, -|c| + h)
+            h = zb[i, None] * sd
+            h += sdi * zb
+            h *= r
+            np.abs(z, out=z)
+            np.negative(z, out=z)
+            hi = z + h
+            z -= h
+            ndtr(hi, out=hi)
+            hi -= ndtr(z, out=z)
+            g *= hi
+        else:
+            g *= ndtr(z, out=z)
+    total = g.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        num = shift + np.log(total) - 0.5 * _LOG_2PI
+    num[~(total >= _LINEAR_FLOOR)] = np.nan
+    return num
+
+
 def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
     if kind == KIND_POINT:
         out[:] = -0.5 * ((x - a) ** 2 / var + np.log(var) + _LOG_2PI)
         return
     m = x.shape[0]
     log_pi = math.log(pi_h)
-    den = np.exp(_log_mass(kind, a, b, x, np.sqrt(var)))
+    sd = np.sqrt(var)
+    den = np.exp(_log_mass(kind, a, b, x, sd))
     den += pi_h * (den.sum() - den)
+    # per-test standardized bounds, oriented so the pair mass is ndtr(z_ij)
+    za = zb = None
+    if kind == KIND_BELOW:
+        za = (a - x) / sd
+    elif kind == KIND_ABOVE:
+        za = (x - a) / sd
+    elif kind == KIND_INTERVAL:
+        za = (0.5 * (a + b) - x) / sd
+        zb = 0.5 * (b - a) / sd
     rows = max(1, _TILE_ELEMENTS // m)
     for i0 in range(0, m, rows):
         i = np.arange(i0, min(i0 + rows, m))
-        xi, vi = x[i, None], var[i, None]
-        v = vi + var
-        terms = -0.5 * ((xi - x) ** 2 / v + np.log(v) + _LOG_2PI)
-        if kind != KIND_FULL:
-            terms += _log_mass(kind, a, b, (xi * var + x * vi) / v,
-                               np.sqrt(vi * var / v))
-        diag = (i - i0, i)
-        own = terms[diag] - own_bias
-        terms += log_pi
-        terms[diag] = own
-        best = terms.max(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            terms -= best
-        np.exp(terms, out=terms)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.where(np.isfinite(best[:, 0]),
-                           best[:, 0] + np.log(terms.sum(axis=1)), -math.inf)
-        out[i] = num - np.log(den[i])
+        out[i] = _linear_rows(x, sd, var, kind, za, zb, log_pi, own_bias, i)
+    deep = np.flatnonzero(np.isnan(out))
+    for k0 in range(0, deep.size, rows):
+        i = deep[k0:k0 + rows]
+        out[i] = _log_rows(x, var, kind, a, b, log_pi, own_bias, i)
+    out -= np.log(den)
 
 
 def _replicate_kernel_np(x, centers, var, pi_h, own_log_weight, out):

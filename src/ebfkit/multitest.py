@@ -34,7 +34,7 @@ from ebfkit import _kernels
 from ebfkit import normal_ebf
 from ebfkit.core import EvidenceReport, HypothesisRegion
 from ebfkit.exceptions import DegenerateRegionError, DomainError, UnsupportedFamilyError
-from ebfkit.numerics import normal_log_pdf
+from ebfkit.numerics.special import normal_log_pdf_scalar
 
 __all__ = ["MultiTestBatch", "cross_marginal", "multi_ebf", "ranked_summary"]
 
@@ -97,25 +97,28 @@ def cross_marginal(batch: MultiTestBatch, i: int, j: int,
                    region: HypothesisRegion) -> float:
     """log integral of test i's likelihood against test j's posterior over a
     region: the borrowed-prior numerator term of the mixture marginal."""
+    for name, k in (("i", i), ("j", j)):
+        if not 0 <= k < batch.size:
+            raise DomainError(f"test index {name} = {k!r} is outside 0..{batch.size - 1}")
     if i == j:
         raise DomainError("cross_marginal needs two distinct tests")
     if region.kind == "point":
         raise DomainError("a point region has no cross terms; its marginal "
                           "is the plain density")
-    x, se = batch.estimates, batch.standard_errors
-    vi, vj = se[i] ** 2, se[j] ** 2
+    xi, xj = float(batch.estimates[i]), float(batch.estimates[j])
+    vi, vj = float(batch.standard_errors[i]) ** 2, float(batch.standard_errors[j]) ** 2
     v = vi + vj
-    log_pdf = normal_log_pdf(x[i], x[j], v)
+    log_pdf = normal_log_pdf_scalar(xi, xj, v)
     if region.kind == "full":
-        return float(log_pdf)
+        return log_pdf
     post_var = vi * vj / v
-    post_mean = (x[i] * vj + x[j] * vi) / v
+    post_mean = (xi * vj + xj * vi) / v
     kind, a, b = _region_args(region)
     lmass = _kernels._log_mass_scalar(kind, a, 0.0 if b is None else b,
                                       post_mean, math.sqrt(post_var))
     if lmass == -math.inf:
         raise DegenerateRegionError("region mass underflows to zero")
-    return float(log_pdf + lmass)
+    return log_pdf + lmass
 
 
 def _region_args(region: HypothesisRegion):

@@ -18,7 +18,7 @@ import math
 
 from ebfkit.core import BiasValue, EvidenceReport, HypothesisRegion, LogMarginal, make_report
 from ebfkit.exceptions import DegenerateRegionError, DomainError
-from ebfkit.numerics import normal_log_cdf, normal_log_pdf
+from ebfkit.numerics.special import log_ndtr_scalar, normal_log_pdf_scalar
 
 __all__ = [
     "FAMILY",
@@ -63,8 +63,8 @@ def _log_mass(alpha: float, beta: float) -> float:
     # work on the side where both bounds sit in the lower tail
     if alpha + beta > 0:
         alpha, beta = -beta, -alpha
-    la = normal_log_cdf(alpha) if alpha > -math.inf else -math.inf
-    lb = normal_log_cdf(beta)
+    la = log_ndtr_scalar(alpha) if alpha > -math.inf else -math.inf
+    lb = log_ndtr_scalar(beta)
     if lb == -math.inf:
         raise DegenerateRegionError("region mass underflows to zero")
     if la == -math.inf:
@@ -78,17 +78,20 @@ def _log_mass(alpha: float, beta: float) -> float:
 def normal_posterior_marginal(x: float, sigma: float,
                               region: HypothesisRegion) -> LogMarginal:
     """Uncorrected log posterior marginal likelihood of a mean region."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    x, sigma = float(x), float(sigma)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
     if region.is_point():
-        return LogMarginal(normal_log_pdf(x, region.a, sigma * sigma), FAMILY)
+        return LogMarginal(normal_log_pdf_scalar(x, region.a, sigma * sigma), FAMILY)
     a, b = region.bounds()
     scale_half = sigma / math.sqrt(2.0)
     log_num_mass = _log_mass((a - x) / scale_half if a > -math.inf else -math.inf,
                              (b - x) / scale_half if b < math.inf else math.inf)
     log_den_mass = _log_mass((a - x) / sigma if a > -math.inf else -math.inf,
                              (b - x) / sigma if b < math.inf else math.inf)
-    log_value = (normal_log_pdf(x, x, 2.0 * sigma * sigma)
+    log_value = (normal_log_pdf_scalar(x, x, 2.0 * sigma * sigma)
                  + log_num_mass - log_den_mass)
     return LogMarginal(log_value, FAMILY)
 
@@ -96,9 +99,10 @@ def normal_posterior_marginal(x: float, sigma: float,
 def ebf_interval(x: float, sigma: float, h0: HypothesisRegion,
                  h1: HypothesisRegion) -> EvidenceReport:
     """General region-vs-region factor on the mean scale."""
-    m0 = normal_posterior_marginal(x, sigma, h0).correct(region_bias(h0))
-    m1 = normal_posterior_marginal(x, sigma, h1).correct(region_bias(h1))
-    return make_report(m0, m1, h0, h1, region_bias(h0), region_bias(h1))
+    b0, b1 = region_bias(h0), region_bias(h1)
+    m0 = normal_posterior_marginal(x, sigma, h0).correct(b0)
+    m1 = normal_posterior_marginal(x, sigma, h1).correct(b1)
+    return make_report(m0, m1, h0, h1, b0, b1)
 
 
 def ebf_two_sided(z: float) -> EvidenceReport:
@@ -125,7 +129,7 @@ def ebf_one_sided(z: float, negative_possible: bool = True) -> EvidenceReport:
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     bias1 = 0.25 if negative_possible else 0.5
-    log_phi_ratio = normal_log_cdf(z) - normal_log_cdf(z * math.sqrt(2.0))
+    log_phi_ratio = log_ndtr_scalar(z) - log_ndtr_scalar(z * math.sqrt(2.0))
     log_ebf01 = log_phi_ratio + 0.5 * LOG2 - 0.5 * (z * z) + bias1
     return EvidenceReport(log_ebf01, FAMILY,
                           HypothesisRegion.point(0.0), HypothesisRegion.above(0.0),
@@ -141,8 +145,8 @@ def ebf_directional(z: float) -> EvidenceReport:
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     s2 = math.sqrt(2.0)
-    log_ebf01 = (normal_log_cdf(-z * s2) - normal_log_cdf(z * s2)
-                 + normal_log_cdf(z) - normal_log_cdf(-z))
+    log_ebf01 = (log_ndtr_scalar(-z * s2) - log_ndtr_scalar(z * s2)
+                 + log_ndtr_scalar(z) - log_ndtr_scalar(-z))
     quarter = BiasValue.closed_form(0.25)
     return EvidenceReport(log_ebf01, FAMILY,
                           HypothesisRegion.below(0.0), HypothesisRegion.above(0.0),
@@ -155,8 +159,8 @@ def ebf_chi_squared(z2: float, d: int) -> EvidenceReport:
     EBF01 = 2^{d/2} exp(-(z^2 - d)/2), the chi-square analogue of the
     two-sided test; z2 is x' Sigma^{-1} x.
     """
-    if z2 < 0:
-        raise DomainError("z2 must be nonnegative")
+    if not (z2 >= 0 and math.isfinite(z2)):
+        raise DomainError(f"z2 must be finite and nonnegative, got {z2!r}")
     if d < 1:
         raise DomainError("dimension must be >= 1")
     log_ebf01 = 0.5 * d * LOG2 - 0.5 * (z2 - d)

@@ -1,10 +1,14 @@
 """Special functions and the standard normal distribution.
 
 Thin, domain-checked wrappers around scipy.special so every caller in the
-package goes through one audited surface.
+package goes through one audited surface.  ``log_ndtr_scalar`` and
+``normal_log_pdf_scalar`` are math-module forms for single floats, which
+the scalar engines call many times per batch.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special as _sp
@@ -17,8 +21,10 @@ __all__ = [
     "regularized_incomplete_beta",
     "normal_pdf",
     "normal_log_pdf",
+    "normal_log_pdf_scalar",
     "normal_cdf",
     "normal_log_cdf",
+    "log_ndtr_scalar",
     "normal_quantile",
 ]
 
@@ -55,7 +61,7 @@ def regularized_incomplete_beta(x, a, b):
     return float(out) if out.ndim == 0 else out
 
 
-_LOG_2PI = np.log(2.0 * np.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def normal_log_pdf(x, mean=0.0, variance=1.0):
@@ -66,6 +72,14 @@ def normal_log_pdf(x, mean=0.0, variance=1.0):
     with np.errstate(over="ignore"):  # squared distance may overflow to inf
         out = -0.5 * ((x - mean) ** 2 / variance + np.log(variance) + _LOG_2PI)
     return float(out) if out.ndim == 0 else out
+
+
+def normal_log_pdf_scalar(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
+    """``normal_log_pdf`` for one float, without numpy."""
+    if not variance > 0:
+        raise DomainError("normal_log_pdf requires variance > 0")
+    d = x - mean
+    return -0.5 * (d * d / variance + math.log(variance) + _LOG_2PI)
 
 
 def normal_pdf(x, mean=0.0, variance=1.0):
@@ -85,6 +99,23 @@ def normal_log_cdf(z):
     z = np.asarray(z, dtype=float)
     out = _sp.log_ndtr(z)
     return float(out) if out.ndim == 0 else out
+
+
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+
+def log_ndtr_scalar(z: float) -> float:
+    """log Phi(z) for one float: log1p of the upper tail above 0, so values
+    near 0 keep full relative precision, and an asymptotic series below
+    z = -37, where Phi(z) underflows."""
+    if z > 0.0:
+        return math.log1p(-0.5 * math.erfc(z * _SQRT1_2))
+    if z > -37.0:
+        return math.log(0.5 * math.erfc(-z * _SQRT1_2))
+    zi = 1.0 / z
+    zi2 = zi * zi
+    series = 1.0 + zi2 * (-1.0 + zi2 * (3.0 + zi2 * (-15.0 + zi2 * 105.0)))
+    return -0.5 * z * z - math.log(-z) - 0.5 * _LOG_2PI + math.log(series)
 
 
 def normal_quantile(p):

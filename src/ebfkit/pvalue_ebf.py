@@ -40,8 +40,10 @@ DEFAULT_LOG_BIAS = math.log(2.5)
 
 def _check_p(p):
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise DomainError("P-values must lie strictly inside (0, 1)")
+    inside = (p > 0.0) & (p < 1.0)  # False for NaN
+    if not np.all(inside):
+        bad = float(p[~inside][0])
+        raise DomainError(f"P-values must lie strictly inside (0, 1), got {bad!r}")
     return p
 
 
@@ -86,8 +88,8 @@ def ebf_pvalue(p: float) -> EvidenceReport:
 
 def posterior_prob_h0(p: float, prior_odds: float = 1.0) -> float:
     """P(null | p) given prior odds null:alternative."""
-    if prior_odds <= 0:
-        raise DomainError("prior odds must be positive")
+    if not (prior_odds > 0 and math.isfinite(prior_odds)):
+        raise DomainError(f"prior odds must be positive and finite, got {prior_odds!r}")
     ebf01 = math.exp(ebf_pvalue(p).ebf01_log)
     po = prior_odds * ebf01
     return po / (1.0 + po)

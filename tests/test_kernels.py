@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from ebfkit import _kernels as K
 from ebfkit.core import HypothesisRegion
-from ebfkit.multitest import MultiTestBatch, cross_marginal, _region_args
+from ebfkit.multitest import MultiTestBatch, cross_marginal, multi_ebf, _region_args
+from ebfkit.normal_ebf import ebf_interval
 from ebfkit.numerics import normal_log_pdf
 
 REGIONS = [
@@ -88,11 +90,78 @@ def test_memory_stays_within_tiles():
     assert peak_mb < 16.0
 
 
-class TestLogNdtrHelper:
-    def test_matches_scipy_log_ndtr(self):
-        from scipy.special import log_ndtr
-        zs = np.concatenate([np.linspace(-36.9, 8, 500),
-                             np.linspace(-200, -37.1, 100)])
-        mine = np.array([K._log_ndtr_scalar(z) for z in zs])
-        ref = log_ndtr(zs)
-        np.testing.assert_allclose(mine, ref, rtol=5e-8, atol=1e-13)
+# Rows at +-40 standard errors beside a bulk near 0: each region
+# below lies beyond the tail of some rows' posteriors, so those rows'
+# linear-domain sums underflow and take the log-domain path.
+DEEP_REGIONS = [
+    (HypothesisRegion.above(45.0), "most"),
+    (HypothesisRegion.below(-45.0), "most"),
+    (HypothesisRegion.interval(70.0, 70.5), "most"),
+    (HypothesisRegion.above(8.0), "few"),
+]
+
+
+@pytest.mark.parametrize("region, share", DEEP_REGIONS,
+                         ids=lambda v: getattr(v, "kind", v))
+@pytest.mark.parametrize("pi_h", [1.0, 0.1])
+def test_fallback_rows(region, share, pi_h, monkeypatch):
+    rng = np.random.default_rng(3)
+    se = np.exp(0.4 * rng.standard_normal(26))
+    x = np.concatenate([1.5 * rng.standard_normal(20), np.full(3, 40.0), np.full(3, -40.0)])
+    x[20:] *= se[20:]
+    batch = MultiTestBatch.from_arrays(x, se, region, region, pi_h=pi_h)
+    fallback = []
+    log_rows = K._log_rows
+
+    def spy(*args):
+        fallback.extend(args[-1])
+        return log_rows(*args)
+
+    monkeypatch.setattr(K, "_log_rows", spy)
+    got = _kernel_row(batch, region, OWN_BIAS)
+    assert (len(fallback) > batch.size // 2) == (share == "most")
+    assert 0 < len(fallback)
+    np.testing.assert_allclose(got, _oracle_row(batch, region, OWN_BIAS),
+                               rtol=1e-10, atol=1e-10)
+
+
+_z = st.floats(-8.0, 8.0)  # x / se
+_se = st.floats(0.05, 20.0)
+_bound = st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.lists(st.tuples(_z, _se), min_size=1, max_size=30),
+       a=_bound, width=st.floats(0.01, 6.0), pi_h=st.floats(0.01, 1.0),
+       own_bias=st.floats(0.0, 0.5))
+def test_mirror_symmetry(data, a, width, pi_h, own_bias):
+    """x -> -x maps below:a to above:-a and interval(a, b) to
+    interval(-b, -a)."""
+    z, se = (np.array(v) for v in zip(*data))
+    x = z * se
+    b = a + width
+
+    def run(xs, kind, lo, hi):
+        return K.mixture_log_marginals(xs, se, kind, lo, hi, pi_h, own_bias)
+
+    np.testing.assert_allclose(run(x, K.KIND_BELOW, a, None),
+                               run(-x, K.KIND_ABOVE, -a, None), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(run(x, K.KIND_INTERVAL, a, b),
+                               run(-x, K.KIND_INTERVAL, -b, -a), rtol=1e-12, atol=1e-12)
+
+
+PAIRS = [
+    (HypothesisRegion.point(0.0), HypothesisRegion.full()),
+    (HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)),
+    (HypothesisRegion.interval(-0.5, 0.5), HypothesisRegion.full()),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=_z, se=_se, pair=st.sampled_from(PAIRS), pi_h=st.floats(0.01, 1.0))
+def test_single_test_multi_equals_single(z, se, pair, pi_h):
+    h0, h1 = pair
+    batch = MultiTestBatch.from_arrays([z * se], [se], h0, h1, pi_h=pi_h)
+    got = multi_ebf(batch)[0].ebf01_log
+    want = ebf_interval(z * se, se, h0, h1).ebf01_log
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -73,6 +73,11 @@ class TestCrossMarginal:
         with pytest.raises(DomainError):
             cross_marginal(_batch([0.0, 1.0]), 1, 1, FULL)
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_rejects_index_outside_batch(self, i, j):
+        with pytest.raises(DomainError, match="test index"):
+            cross_marginal(_batch([0.0, 1.0]), i, j, FULL)
+
 
 class TestMultiEbf:
     def test_two_identical_nulls_shrink(self):

@@ -136,6 +136,14 @@ class TestInterval:
         with pytest.raises(DegenerateRegionError):
             ebf_interval(0.0, 1.0, HypothesisRegion.above(1e200), HypothesisRegion.full())
 
+    @pytest.mark.parametrize("x, sigma, name", [
+        (math.nan, 1.0, "x"), (math.inf, 1.0, "x"), (-math.inf, 1.0, "x"),
+        (1.0, math.inf, "sigma"), (1.0, math.nan, "sigma"), (1.0, 0.0, "sigma"),
+    ])
+    def test_rejects_nonfinite(self, x, sigma, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            ebf_interval(x, sigma, HypothesisRegion.below(0.0), HypothesisRegion.above(0.0))
+
 
 class TestChiSquared:
     def test_exponent_vanishes(self):
@@ -155,6 +163,11 @@ class TestChiSquared:
         for z in (0.3, 1.7, 2.9):
             assert ebf_chi_squared(z * z, 1).ebf01_log == pytest.approx(
                 ebf_two_sided(z).ebf01_log, abs=1e-12)
+
+    @pytest.mark.parametrize("z2", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_statistic(self, z2):
+        with pytest.raises(DomainError, match="z2 must be finite"):
+            ebf_chi_squared(z2, 2)
 
 
 class TestDeviance:

@@ -23,6 +23,7 @@ from ebfkit.numerics import (
     log_gamma,
     noncentral_chi2_cdf,
     normal_cdf,
+    normal_log_pdf,
     normal_pdf,
     normal_quantile,
     regularized_incomplete_beta,
@@ -30,6 +31,7 @@ from ebfkit.numerics import (
     t_pdf,
     t_quantile,
 )
+from ebfkit.numerics.special import log_ndtr_scalar, normal_log_pdf_scalar
 
 
 class TestLogGamma:
@@ -107,6 +109,27 @@ class TestNormal:
             normal_quantile(0.0)
         with pytest.raises(DomainError):
             normal_quantile(1.0)
+
+
+class TestLogNdtrHelper:
+    def test_matches_scipy_log_ndtr(self):
+        from scipy.special import log_ndtr
+        zs = np.concatenate([np.linspace(-36.9, 8, 500), np.linspace(0, 8, 400),
+                             np.linspace(-200, -37.1, 100)])
+        mine = np.array([log_ndtr_scalar(z) for z in zs])
+        np.testing.assert_allclose(mine, log_ndtr(zs), rtol=1e-13, atol=0)
+
+
+class TestNormalLogPdfScalar:
+    def test_matches_array_form(self):
+        for x, mean, var in [(0.3, -1.2, 0.5), (40.0, 0.0, 2.0), (1e200, 0.0, 1.0)]:
+            assert normal_log_pdf_scalar(x, mean, var) == pytest.approx(
+                normal_log_pdf(x, mean, var), rel=1e-15)
+
+    @pytest.mark.parametrize("var", [0.0, -1.0, math.nan])
+    def test_rejects_bad_variance(self, var):
+        with pytest.raises(DomainError, match="variance > 0"):
+            normal_log_pdf_scalar(0.0, 0.0, var)
 
 
 class TestDistributions:

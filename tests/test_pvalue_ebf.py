@@ -115,6 +115,11 @@ class TestEbfPvalue:
         assert ho == pytest.approx(1 / 7.55, abs=2e-4)
         assert ho < sellke < ours
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_rejects_bad_p(self, p):
+        with pytest.raises(DomainError, match=r"P-values .* got"):
+            ebf_pvalue(p)
+
 
 class TestPosteriorProb:
     def test_one_third_at_005(self):
@@ -127,3 +132,8 @@ class TestPosteriorProb:
     def test_rejects_bad_odds(self):
         with pytest.raises(DomainError):
             posterior_prob_h0(0.05, prior_odds=0.0)
+
+    @pytest.mark.parametrize("odds", [math.nan, math.inf])
+    def test_rejects_nonfinite_odds(self, odds):
+        with pytest.raises(DomainError, match="prior odds"):
+            posterior_prob_h0(0.05, prior_odds=odds)
