@@ -2,18 +2,26 @@
 
 The pairwise mixture-marginal accumulations behind the multiple-testing
 factor and the simulation harness are O(m^2) per batch (per replicate) and
-dominate runtime at scale.  Both are vectorized numpy.  The batch kernel
-walks the m x m pairwise terms in tiles of whole rows holding about
-``_TILE_ELEMENTS`` entries each, so its working memory is O(m * tile)
-rather than O(m^2).
+dominate runtime at scale.  Both are vectorized numpy.
 
-Each tile is summed in the linear domain: shifted by the row max of the
-Gaussian part only, every pair's term is a product of exp, 1/sqrt(v) and a
-region mass from ``ndtr``, which costs far less than ``log_ndtr`` and the
-pairwise posterior mean and sd it would need.  A row whose region lies
-beyond the tail of every posterior underflows there; it alone is recomputed
-by the log-domain tile (``_log_rows``), so results match the log-domain
-sum over the whole range.  ``_log_mass_scalar``, on
+A pair's term in the batch kernel is symmetric in (i, j), so it is computed
+once per pair: the kernel walks the upper triangle in tiles of rows
+[i0, i1) against columns [i0, m), each of at most ``_TILE_ELEMENTS``
+entries or one row, so its working memory is O(tile + m) rather than
+O(m^2).  A tile's
+row sums go to its own rows, and the column sums of its part right of the
+diagonal block go to the later rows.
+
+Each tile is summed in the linear domain with no row shift: every pair's
+term is a product of exp(-t^2 / 2) <= 1, 1/sqrt(v) and a region mass from
+``ndtr``, which costs far less than ``log_ndtr`` and the pairwise posterior
+mean and sd it would need.  The own term is read off the tile's diagonal,
+and the weights are applied after the sum: e^-own_bias on the own term,
+pi_h on the others.  A row whose region lies beyond the tail of every
+posterior underflows there; it alone is recomputed by the log-domain tile
+(``_log_rows``), so results match the log-domain sum over the whole range.
+The denominator is summed in log space, so it stays finite when every
+test's own region mass is below the smallest double.  ``_log_mass_scalar``, on
 ``numerics.special.log_ndtr_scalar``, is the scalar reference that
 ``multitest.cross_marginal`` builds single terms from.
 
@@ -118,40 +126,35 @@ def _log_rows(x, var, kind, a, b, log_pi, own_bias, i):
                         best[:, 0] + np.log(terms.sum(axis=1)), -math.inf)
 
 
-def _linear_rows(x, sd, var, kind, za, zb, log_pi, own_bias, i):
-    """The numerators of ``_log_rows`` in the linear domain; NaN marks a row
-    whose scaled sum fell below ``_LINEAR_FLOOR``.
+def _pair_terms(x, sd, var, kind, za, zb, i0, i1):
+    """sqrt(2 pi) times the unweighted pair terms of rows i0..i1-1 against
+    columns i0..m-1: exp(-t^2 / 2) r mass_ij, with r = 1 / sqrt(v_i + v_j)
+    and t = (x_i - x_j) r.
 
-    With r = 1 / sqrt(v_i + v_j) and t = (x_i - x_j) r, a pair's term is
-    w_ij exp(-t^2 / 2) r mass_ij / sqrt(2 pi).  Each row is shifted by the max
-    of its Gaussian part only.  The mass is a standard normal CDF at
-    (sd_j z_i + sd_i z_j) r, where z_k standardizes a bound by test k's own
-    posterior, so the pairwise posterior mean and sd are never formed.
+    The mass is a standard normal CDF at (sd_j z_i + sd_i z_j) r, where z_k
+    standardizes a bound by test k's own posterior, so the pairwise
+    posterior mean and sd are never formed.  Every factor is symmetric in
+    (i, j).
     """
-    vi = var[i, None]
-    r = vi + var
+    r = var[i0:i1, None] + var[i0:]
     np.sqrt(r, out=r)
     np.reciprocal(r, out=r)
-    g = x[i, None] - x
+    g = x[i0:i1, None] - x[i0:]
     g *= r
     np.square(g, out=g)
     g *= -0.5
-    g += log_pi
-    g[np.arange(i.size), i] = -own_bias  # t_ii = 0
-    shift = g.max(axis=1)
-    g -= shift[:, None]
     np.exp(g, out=g)
     g *= r
     if kind != KIND_FULL:
-        sdi = sd[i, None]
-        z = za[i, None] * sd
-        z += sdi * za
+        sdi, sdj = sd[i0:i1, None], sd[i0:]
+        z = za[i0:i1, None] * sdj
+        z += sdi * za[i0:]
         z *= r
         if kind == KIND_INTERVAL:
             # za and zb hold the centre c and half-width h of the standardized
             # interval; flipped into the lower tail it is (-|c| - h, -|c| + h)
-            h = zb[i, None] * sd
-            h += sdi * zb
+            h = zb[i0:i1, None] * sdj
+            h += sdi * zb[i0:]
             h *= r
             np.abs(z, out=z)
             np.negative(z, out=z)
@@ -162,11 +165,7 @@ def _linear_rows(x, sd, var, kind, za, zb, log_pi, own_bias, i):
             g *= hi
         else:
             g *= ndtr(z, out=z)
-    total = g.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        num = shift + np.log(total) - 0.5 * _LOG_2PI
-    num[~(total >= _LINEAR_FLOOR)] = np.nan
-    return num
+    return g
 
 
 def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
@@ -174,10 +173,7 @@ def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
         out[:] = -0.5 * ((x - a) ** 2 / var + np.log(var) + _LOG_2PI)
         return
     m = x.shape[0]
-    log_pi = math.log(pi_h)
     sd = np.sqrt(var)
-    den = np.exp(_log_mass(kind, a, b, x, sd))
-    den += pi_h * (den.sum() - den)
     # per-test standardized bounds, oriented so the pair mass is ndtr(z_ij)
     za = zb = None
     if kind == KIND_BELOW:
@@ -187,15 +183,43 @@ def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
     elif kind == KIND_INTERVAL:
         za = (0.5 * (a + b) - x) / sd
         zb = 0.5 * (b - a) / sd
+    # Upper triangle in tiles of rows i0..i1-1 and columns i0..m-1.  The
+    # diagonal block holds both halves of its pairs, so its row sums cover
+    # them; each term right of it also belongs to its column's row.  The
+    # own terms are taken off the diagonal before summing, so the weights
+    # can be applied to the two sums afterwards.
+    own = np.empty(m)
+    cross = np.zeros(m)
+    i0 = 0
+    while i0 < m:
+        i1 = min(m, i0 + max(1, _TILE_ELEMENTS // (m - i0)))
+        g = _pair_terms(x, sd, var, kind, za, zb, i0, i1)
+        diag = np.arange(i1 - i0)
+        own[i0:i1] = g[diag, diag]
+        g[diag, diag] = 0.0
+        cross[i0:i1] += g.sum(axis=1)
+        cross[i1:] += g[:, i1 - i0:].sum(axis=0)
+        del g  # so that two tiles are never alive at once
+        i0 = i1
+    total = math.exp(-own_bias) * own + pi_h * cross
+    with np.errstate(divide="ignore"):
+        np.log(total, out=out)
+    out -= 0.5 * _LOG_2PI
+    # rows whose region lies beyond the tail of every posterior underflow
+    # here; they alone are recomputed in the log domain
+    deep = np.flatnonzero(~(total >= _LINEAR_FLOOR))
     rows = max(1, _TILE_ELEMENTS // m)
-    for i0 in range(0, m, rows):
-        i = np.arange(i0, min(i0 + rows, m))
-        out[i] = _linear_rows(x, sd, var, kind, za, zb, log_pi, own_bias, i)
-    deep = np.flatnonzero(np.isnan(out))
     for k0 in range(0, deep.size, rows):
         i = deep[k0:k0 + rows]
-        out[i] = _log_rows(x, var, kind, a, b, log_pi, own_bias, i)
-    out -= np.log(den)
+        out[i] = _log_rows(x, var, kind, a, b, math.log(pi_h), own_bias, i)
+    # denominator mass_i + pi_h sum_{j != i} mass_j, in log space so that
+    # masses below the smallest double still give a finite value
+    lmass = _log_mass(kind, a, b, x, sd)
+    top = lmass.max()
+    with np.errstate(invalid="ignore"):  # NaN if every mass is 0 even in log space
+        den = np.exp(lmass - top)
+    den += pi_h * (den.sum() - den)
+    out -= top + np.log(den)
 
 
 def _replicate_kernel_np(x, centers, var, pi_h, own_log_weight, out):

@@ -47,12 +47,14 @@ class EvidenceUnits:
 
 def units_of_evidence(bf10: float) -> EvidenceUnits:
     """log of a Bayes factor against the null, in base 2+sqrt(3)."""
-    if bf10 <= 0:
-        raise DomainError("Bayes factor must be positive")
+    if not 0.0 < bf10 < math.inf:
+        raise DomainError(f"Bayes factor bf10 must be positive and finite, got {bf10!r}")
     return EvidenceUnits(math.log(bf10) / LOG_EVIDENCE_BASE)
 
 
 def bf10_for_units(units: float) -> float:
+    if not math.isfinite(units):
+        raise DomainError(f"units must be finite, got {units!r}")
     return EVIDENCE_BASE ** units
 
 
@@ -81,14 +83,14 @@ def p_for_units(family: str, units: float, d: int = 1) -> float:
     root-finding on z^2 and map through the chi-square survival function;
     nonparametric inverts the 10p rule.
     """
-    if units <= 0:
-        raise DomainError("units must be positive")
+    if not 0.0 < units < math.inf:
+        raise DomainError(f"units must be positive and finite, got {units!r}")
     log_bf10 = units * LOG_EVIDENCE_BASE
     if family == "normal-2-sided":
         d = 1
     elif family == "chi2":
-        if d < 1:
-            raise DomainError("chi2 family needs dimension d >= 1")
+        if not 1 <= d < math.inf:
+            raise DomainError(f"chi2 family needs a finite dimension d >= 1, got {d!r}")
     elif family == "nonparametric":
         return 1.0 / (10.0 * math.exp(log_bf10))
     else:
@@ -137,14 +139,18 @@ def held_ott_bound(p: float) -> float:
 
 def brc(z: float) -> float:
     """Posterior-predictive reference criterion exp(-(z^2 + 1)/2)."""
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     return math.exp(-0.5 * (z * z + 1.0))
 
 
 def unit_information_bf(z: float, n: int) -> float:
     """sqrt(n+1) exp(-z^2 n / (2(n+1))), the minimally-informative-prior
     factor in favour of the null at sample size n."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
+    if not 1 <= n < math.inf:
+        raise DomainError(f"sample size n must be finite and >= 1, got {n!r}")
     return math.sqrt(n + 1.0) * math.exp(-0.5 * z * z * n / (n + 1.0))
 
 

@@ -56,16 +56,27 @@ class CountData:
 
     def __post_init__(self):
         x, n = self.successes, self.trials
-        if self.alpha <= 0:
-            raise DomainError("prior shape alpha must be positive")
+        _check_alpha(self.alpha)
+        if not (math.isfinite(x) and math.isfinite(n)):
+            raise DomainError(f"successes and trials must be finite, got {x!r}, {n!r}")
         if self.model == BINOMIAL:
             if not 0 <= x <= n or n < 1:
                 raise DomainError("binomial data needs 0 <= x <= n, n >= 1")
         elif self.model == NEGATIVE_BINOMIAL:
-            if x < 1 or self.trials < x:
+            if not 1 <= x <= n:
                 raise DomainError("negative-binomial data needs 1 <= x <= n")
         else:
             raise DomainError(f"unknown sampling model {self.model!r}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"prior shape alpha must be positive and finite, got {alpha!r}")
+
+
+def _check_count(name: str, k) -> None:
+    if not 1 <= k < math.inf:
+        raise DomainError(f"{name} must be a finite count >= 1, got {k!r}")
 
 
 def _log_choose(n, k):
@@ -139,10 +150,8 @@ def binom_expected_bias(n: int, region: HypothesisRegion | None = None,
     A finite double sum over the joint prior predictive of the observed and
     replicate counts; exact up to floating-point rounding.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    _check_count("n", n)
+    _check_alpha(alpha)
     region = region or HypothesisRegion.full()
     if region.is_point():
         return BiasValue.zero()
@@ -210,10 +219,8 @@ def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
     estimated truncation remainder as the achieved error, and raise an
     explicit status when their term budget runs out first.
     """
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    _check_count("x", x)
+    _check_alpha(alpha)
     region = region or HypothesisRegion.full()
     if region.is_point():
         return BiasValue.zero()

@@ -53,10 +53,19 @@ FAMILY = "f"
 _DOMAIN = (0.0, math.inf)
 
 
+def _check_args(x: float | None, df1: float, df2: float) -> None:
+    """Reject an observed value (None skips it) or degrees of freedom
+    outside the family's domain, naming the input."""
+    if x is not None and not 0.0 < x < math.inf:
+        raise DomainError(f"the observed F value x must be positive and finite, got {x!r}")
+    for name, df in (("df1", df1), ("df2", df2)):
+        if not 1.0 <= df < math.inf:
+            raise DomainError(f"{name} must be finite and >= 1, got {df!r}")
+
+
 def log_scale_constant(df1: float, df2: float) -> float:
     """log Kf = log B(df1, df2) - 2 log B(df1/2, df2/2)."""
-    if df1 < 1 or df2 < 1:
-        raise DomainError("degrees of freedom must be >= 1")
+    _check_args(None, df1, df2)
     return log_beta(df1, df2) - 2.0 * log_beta(0.5 * df1, 0.5 * df2)
 
 
@@ -75,10 +84,7 @@ def _scaled_mass(region: HypothesisRegion, x: float, df1: float, df2: float) -> 
 def f_posterior_marginal(x: float, df1: float, df2: float,
                          region: HypothesisRegion) -> LogMarginal:
     """Uncorrected log posterior marginal likelihood of a scale region."""
-    if x <= 0:
-        raise DomainError("the observed F value must be positive")
-    if df1 < 1 or df2 < 1:
-        raise DomainError("degrees of freedom must be >= 1")
+    _check_args(x, df1, df2)
     if region.is_point():
         if region.a <= 0:
             raise DomainError("a point hypothesis on the scale must be positive")
@@ -165,8 +171,7 @@ def f_expected_bias(df1: float, df2: float) -> BiasValue:
     (df1, df2) pair.  The one-sided analysis-of-variance hypothesis uses
     this same value.
     """
-    if df1 < 1 or df2 < 1:
-        raise DomainError("degrees of freedom must be >= 1")
+    _check_args(None, df1, df2)
     key = (float(df1), float(df2))
     with _cache_lock:
         cached = _bias_cache.get(key)
@@ -219,6 +224,7 @@ def region_bias(region: HypothesisRegion, df1: float, df2: float) -> BiasValue:
 def ebf_f(x: float, df1: float, df2: float, h0: HypothesisRegion,
           h1: HypothesisRegion) -> EvidenceReport:
     """Region-vs-region factor for an observed F statistic."""
+    _check_args(x, df1, df2)
     b0, b1 = region_bias(h0, df1, df2), region_bias(h1, df1, df2)
     m0 = f_posterior_marginal(x, df1, df2, h0).correct(b0)
     m1 = f_posterior_marginal(x, df1, df2, h1).correct(b1)

@@ -67,7 +67,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 def normal_log_pdf(x, mean=0.0, variance=1.0):
     """log of the normal density with the given mean and variance."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.asarray(variance) <= 0):
+    if not np.all(np.asarray(variance) > 0):
         raise DomainError("normal_log_pdf requires variance > 0")
     with np.errstate(over="ignore"):  # squared distance may overflow to inf
         out = -0.5 * ((x - mean) ** 2 / variance + np.log(variance) + _LOG_2PI)

@@ -50,10 +50,19 @@ LARGE_DF_CUTOFF = 200      # beyond this the normal constant 1/2 is used
 _LARGE_DF_BIAS_ERROR = 2e-3  # verified against quadrature at the cutoff
 
 
+def _check_args(t: float | None, df: float) -> None:
+    """Reject a statistic (None skips it) or degrees of freedom outside the
+    family's domain, naming the input."""
+    if t is not None and not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
+    if not 1.0 <= df < math.inf:
+        raise DomainError(f"df must be finite and >= 1, got {df!r}")
+
+
 def log_leading_constant(df: float) -> float:
     """log c(df), the full-line posterior marginal likelihood."""
-    if df <= 0:
-        raise DomainError("degrees of freedom must be positive")
+    if not 0.0 < df < math.inf:
+        raise DomainError(f"df must be positive and finite, got {df!r}")
     return (2.0 * log_gamma((df + 1.0) / 2.0) + log_gamma(df + 0.5)
             - 0.5 * math.log(df * math.pi)
             - 2.0 * log_gamma(df / 2.0) - log_gamma(df + 1.0))
@@ -74,8 +83,7 @@ def _mass(region: HypothesisRegion, centre: float, scale: float, df: float) -> f
 def t_posterior_marginal(t: float, df: float,
                          region: HypothesisRegion) -> LogMarginal:
     """Uncorrected log posterior marginal likelihood of a location region."""
-    if df < 1:
-        raise DomainError("degrees of freedom must be >= 1")
+    _check_args(t, df)
     if region.is_point():
         return LogMarginal(t_log_pdf(t - region.a, df), FAMILY)
     num_scale = math.sqrt(df / (2.0 * df + 1.0))
@@ -186,8 +194,7 @@ def t_expected_bias(df: float) -> BiasValue:
     given df are computed once and cached; beyond df = 200 the normal
     constant 1/2 is returned.
     """
-    if df < 1:
-        raise DomainError("degrees of freedom must be >= 1")
+    _check_args(None, df)
     if df > LARGE_DF_CUTOFF:
         return BiasValue(0.5, "closed-form", achieved_error=_LARGE_DF_BIAS_ERROR)
     key = float(df)
@@ -232,6 +239,7 @@ def region_bias(region: HypothesisRegion, df: float) -> BiasValue:
 def ebf_t(t: float, df: float, h0: HypothesisRegion,
           h1: HypothesisRegion) -> EvidenceReport:
     """Region-vs-region factor for a standardized t statistic."""
+    _check_args(t, df)
     b0, b1 = region_bias(h0, df), region_bias(h1, df)
     m0 = t_posterior_marginal(t, df, h0).correct(b0)
     m1 = t_posterior_marginal(t, df, h1).correct(b1)

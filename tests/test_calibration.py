@@ -8,6 +8,7 @@ import pytest
 from ebfkit.calibration import (
     EvidenceUnits,
     _logistic_third_derivative,
+    bf10_for_units,
     brc,
     calibration_curve,
     calibration_table,
@@ -160,3 +161,41 @@ class TestCurve:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             calibration_curve([0.0])
+
+
+class TestRejectsBadInput:
+    """NaN, inf and out-of-domain input raise a DomainError naming it."""
+
+    @pytest.mark.parametrize("bf10", [math.nan, math.inf, 0.0, -1.0])
+    def test_units_of_evidence(self, bf10):
+        with pytest.raises(DomainError, match="^Bayes factor bf10 must be"):
+            units_of_evidence(bf10)
+
+    @pytest.mark.parametrize("units", [math.nan, math.inf, -math.inf])
+    def test_bf10_for_units(self, units):
+        with pytest.raises(DomainError, match="^units must be"):
+            bf10_for_units(units)
+
+    @pytest.mark.parametrize("family, units, d, match", [
+        ("normal-2-sided", math.nan, 1, "^units must be"),
+        ("normal-2-sided", math.inf, 1, "^units must be"),
+        ("nonparametric", 0.0, 1, "^units must be"),
+        ("chi2", 1.0, math.nan, "dimension d"),
+        ("chi2", 1.0, math.inf, "dimension d"),
+    ])
+    def test_p_for_units(self, family, units, d, match):
+        with pytest.raises(DomainError, match=match):
+            p_for_units(family, units, d)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_brc(self, z):
+        with pytest.raises(DomainError, match="^z must be"):
+            brc(z)
+
+    @pytest.mark.parametrize("z, n, name", [
+        (math.nan, 10, "z"), (math.inf, 10, "z"),
+        (1.0, math.nan, "sample size n"), (1.0, math.inf, "sample size n"),
+    ])
+    def test_unit_information_bf(self, z, n, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            unit_information_bf(z, n)

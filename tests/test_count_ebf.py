@@ -49,6 +49,18 @@ class TestCountData:
             CountData(1, 2, alpha=0.0)
 
 
+    @pytest.mark.parametrize("args, match", [
+        ((1, 5, BINOMIAL, math.nan), "^prior shape alpha must be"),
+        ((1, 5, BINOMIAL, math.inf), "^prior shape alpha must be"),
+        ((math.nan, 5, NEGATIVE_BINOMIAL), "^successes and trials must be finite"),
+        ((1, math.inf, BINOMIAL), "^successes and trials must be finite"),
+        ((2, math.nan, NEGATIVE_BINOMIAL), "^successes and trials must be finite"),
+    ])
+    def test_rejects_nonfinite(self, args, match):
+        with pytest.raises(DomainError, match=match):
+            CountData(*args)
+
+
 class TestBinomialMarginal:
     def test_all_successes_closed_form(self):
         """x = n with the uniform prior collapses to (n+1)/(2n+1)."""
@@ -251,3 +263,25 @@ class TestModelAverage:
             model_average([], [m])
         with pytest.raises(DomainError):
             model_average([LogMarginal(-1.0, BINOMIAL)], [m])
+
+
+class TestBiasRejectsBadInput:
+    """NaN, inf and out-of-domain input raise a DomainError naming it."""
+
+    @pytest.mark.parametrize("n, alpha, name", [
+        (math.nan, 1.0, "n"), (math.inf, 1.0, "n"), (0, 1.0, "n"),
+        (10, math.nan, "prior shape alpha"), (10, math.inf, "prior shape alpha"),
+        (10, 0.0, "prior shape alpha"),
+    ])
+    def test_binom_expected_bias(self, n, alpha, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            binom_expected_bias(n, FULL, alpha)
+
+    @pytest.mark.parametrize("x, alpha, name", [
+        (math.nan, 1.0, "x"), (math.inf, 1.0, "x"), (0, 1.0, "x"),
+        (3, math.nan, "prior shape alpha"), (3, math.inf, "prior shape alpha"),
+        (3, -1.0, "prior shape alpha"),
+    ])
+    def test_negbinom_expected_bias(self, x, alpha, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            negbinom_expected_bias(x, FULL, alpha)

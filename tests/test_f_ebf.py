@@ -134,6 +134,7 @@ def _oracle_bias_double_integral(d1, d2, scale=1.0):
     return val
 
 
+@pytest.mark.slow
 class TestBiasOracle:
     def test_matches_direct_double_integral(self):
         """The entropy-form evaluation agrees with brute-force nested
@@ -188,3 +189,37 @@ class TestEbfF:
         a = ebf_anova(2.0, 3, 9)
         b = ebf_f(2.0, 3, 9, UNIT_POINT, BELOW_ONE)
         assert a.ebf01_log == b.ebf01_log
+
+
+class TestRejectsBadInput:
+    """NaN, inf and out-of-domain input raise a DomainError naming it."""
+
+    BAD = [
+        ((math.nan, 3, 20), "the observed F value x"), ((math.inf, 3, 20), "the observed F value x"),
+        ((0.0, 3, 20), "the observed F value x"), ((2.0, math.nan, 20), "df1"),
+        ((2.0, 0.5, 20), "df1"), ((2.0, 3, math.nan), "df2"), ((2.0, 3, math.inf), "df2"),
+    ]
+
+    @pytest.mark.parametrize("args, name", BAD)
+    def test_ebf_anova(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            ebf_anova(*args)
+
+    @pytest.mark.parametrize("args, name", BAD)
+    def test_ebf_f(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            ebf_f(*args, UNIT_POINT, FULL)
+
+    @pytest.mark.parametrize("args, name", BAD)
+    def test_posterior_marginal(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            f_posterior_marginal(*args, BELOW_ONE)
+
+    @pytest.mark.parametrize("df1, df2, name", [
+        (math.nan, 20, "df1"), (math.inf, 20, "df1"), (3, math.nan, "df2"), (3, math.inf, "df2"),
+    ])
+    def test_expected_bias(self, df1, df2, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            f_expected_bias(df1, df2)
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            log_scale_constant(df1, df2)

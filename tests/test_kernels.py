@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,8 +62,9 @@ class TestMixtureAgainstCrossMarginal:
                                    _oracle_row(batch, region, OWN_BIAS),
                                    rtol=1e-10, atol=1e-10)
 
-    # 23 tests in tiles of 2 rows (a ragged last tile of 1), of 1 row (a
-    # tile smaller than one row), and of the default size (one tile).
+    # 23 tests in triangle tiles of 2 rows growing to 5 as the rows
+    # shorten (a ragged last tile of 4), of 1 row (a tile smaller than one
+    # row) growing to 4, and of the default size (one tile).
     @pytest.mark.parametrize("tile", [46, 16, K._TILE_ELEMENTS])
     def test_rows_across_tiles(self, region, pi_h, tile, monkeypatch):
         rng = np.random.default_rng(17)
@@ -165,3 +167,68 @@ def test_single_test_multi_equals_single(z, se, pair, pi_h):
     got = multi_ebf(batch)[0].ebf01_log
     want = ebf_interval(z * se, se, h0, h1).ebf01_log
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# Regions so far out that every test's own mass lies below the smallest
+# double: the denominator exists only in log space.
+FAR_REGIONS = [HypothesisRegion.above(40.0), HypothesisRegion.above(45.0),
+               HypothesisRegion.below(-45.0), HypothesisRegion.interval(70.0, 70.5)]
+_far_ids = lambda r: f"{r.kind}:{r.a}"  # noqa: E731
+
+
+@pytest.mark.parametrize("h1", FAR_REGIONS, ids=_far_ids)
+@pytest.mark.parametrize("h0", [HypothesisRegion.point(0.0), HypothesisRegion.full()],
+                         ids=lambda r: r.kind)
+def test_far_region_single_test(h0, h1):
+    x = float(np.random.default_rng(5).standard_normal())
+    batch = MultiTestBatch.from_arrays([x], [1.0], h0, h1)
+    assert multi_ebf(batch)[0].ebf01_log == pytest.approx(
+        ebf_interval(x, 1.0, h0, h1).ebf01_log, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("h1", FAR_REGIONS, ids=_far_ids)
+@pytest.mark.parametrize("pi_h", [1.0, 0.1])
+def test_far_region_batch_is_finite(h1, pi_h):
+    x = np.random.default_rng(5).standard_normal(50)
+    batch = MultiTestBatch.from_arrays(x, np.ones(50), HypothesisRegion.point(0.0), h1,
+                                       pi_h=pi_h)
+    got = np.array([r.ebf01_log for r in multi_ebf(batch)])
+    assert np.all(np.isfinite(got)) and np.all(got > 500.0)
+
+
+_nonpoint = st.one_of(
+    st.builds(HypothesisRegion.below, _bound),
+    st.builds(HypothesisRegion.above, _bound),
+    st.builds(lambda a, w: HypothesisRegion.interval(a, a + w), _bound, st.floats(0.01, 6.0)),
+    st.just(HypothesisRegion.full()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.lists(st.tuples(_z, _se), min_size=2, max_size=30), region=_nonpoint)
+def test_cross_marginal_is_symmetric(data, region):
+    """The pair term the kernel computes once per pair is symmetric in
+    (i, j), checked on the scalar oracle."""
+    z, se = (np.array(v) for v in zip(*data))
+    batch = MultiTestBatch.from_arrays(z * se, se, region, region)
+    for i, j in [(0, 1), (0, batch.size - 1), (batch.size // 2, 1)]:
+        if i != j:
+            assert cross_marginal(batch, i, j, region) == pytest.approx(
+                cross_marginal(batch, j, i, region), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.lists(st.tuples(_z, _se), min_size=1, max_size=30),
+       region=st.one_of(_nonpoint, st.builds(HypothesisRegion.point, _bound)),
+       pi_h=st.sampled_from([1.0, 0.1]), tile=st.sampled_from([16, 46, K._TILE_ELEMENTS]),
+       perm_seed=st.integers(0, 2 ** 32 - 1))
+def test_permutation_permutes_rows(data, region, pi_h, tile, perm_seed):
+    """Reordering a batch reorders its marginals: each pair's term reaches
+    both its rows, in ragged triangle tiles as in one tile."""
+    kind, a, b = _region_args(region)
+    z, se = (np.array(v) for v in zip(*data))
+    x = z * se
+    perm = np.random.default_rng(perm_seed).permutation(x.size)
+    with mock.patch.object(K, "_TILE_ELEMENTS", tile):
+        base = K.mixture_log_marginals(x, se, kind, a, b, pi_h, OWN_BIAS)
+        moved = K.mixture_log_marginals(x[perm], se[perm], kind, a, b, pi_h, OWN_BIAS)
+    np.testing.assert_allclose(moved, base[perm], rtol=1e-12, atol=1e-12)

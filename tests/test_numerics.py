@@ -111,6 +111,12 @@ class TestNormal:
             normal_quantile(1.0)
 
 
+    @pytest.mark.parametrize("var", [0.0, -1.0, math.nan, np.array([1.0, math.nan])])
+    def test_log_pdf_rejects_bad_variance(self, var):
+        with pytest.raises(DomainError, match="variance > 0"):
+            normal_log_pdf(0.0, 0.0, var)
+
+
 class TestLogNdtrHelper:
     def test_matches_scipy_log_ndtr(self):
         from scipy.special import log_ndtr

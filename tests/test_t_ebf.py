@@ -142,6 +142,7 @@ def _oracle_bias_double_integral(df, shift=0.0):
     return val
 
 
+@pytest.mark.slow
 class TestBiasOracle:
     def test_matches_direct_double_integral(self):
         """The entropy-form evaluation agrees with brute-force nested
@@ -187,3 +188,32 @@ class TestEbfT:
         r = ebf_t(1.0, 5, POINT0, FULL)
         assert r.bias_h0.value == 0.0
         assert r.bias_h1.value == pytest.approx(t_expected_bias(5).value)
+
+
+class TestRejectsBadInput:
+    """NaN, inf and out-of-domain input raise a DomainError naming it."""
+
+    @pytest.mark.parametrize("t, df, name", [
+        (math.nan, 10, "t"), (math.inf, 10, "t"), (-math.inf, 10, "t"),
+        (1.0, math.nan, "df"), (1.0, math.inf, "df"), (1.0, 0.5, "df"),
+    ])
+    def test_ebf_t(self, t, df, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            ebf_t(t, df, HypothesisRegion.below(0.0), HypothesisRegion.above(0.0))
+
+    @pytest.mark.parametrize("t, df, name", [
+        (math.nan, 5, "t"), (math.inf, 5, "t"), (1.0, math.nan, "df"), (1.0, math.inf, "df"),
+    ])
+    def test_posterior_marginal(self, t, df, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            t_posterior_marginal(t, df, FULL)
+
+    @pytest.mark.parametrize("df", [math.nan, math.inf, 0.5])
+    def test_expected_bias(self, df):
+        with pytest.raises(DomainError, match="^df must be"):
+            t_expected_bias(df)
+
+    @pytest.mark.parametrize("df", [math.nan, math.inf, 0.0])
+    def test_leading_constant(self, df):
+        with pytest.raises(DomainError, match="^df must be"):
+            log_leading_constant(df)
