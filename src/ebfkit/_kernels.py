@@ -8,20 +8,29 @@ A pair's term in the batch kernel is symmetric in (i, j), so it is computed
 once per pair: the kernel walks the upper triangle in tiles of rows
 [i0, i1) against columns [i0, m), each of at most ``_TILE_ELEMENTS``
 entries or one row, so its working memory is O(tile + m) rather than
-O(m^2).  A tile's
-row sums go to its own rows, and the column sums of its part right of the
-diagonal block go to the later rows.
+O(m^2).  A tile's row sums go to its own rows, and the column sums of its
+part right of the diagonal block go to the later rows.
 
-Each tile is summed in the linear domain with no row shift: every pair's
-term is a product of exp(-t^2 / 2) <= 1, 1/sqrt(v) and a region mass from
-``ndtr``, which costs far less than ``log_ndtr`` and the pairwise posterior
-mean and sd it would need.  The own term is read off the tile's diagonal,
-and the weights are applied after the sum: e^-own_bias on the own term,
-pi_h on the others.  A row whose region lies beyond the tail of every
-posterior underflows there; it alone is recomputed by the log-domain tile
-(``_log_rows``), so results match the log-domain sum over the whole range.
-The denominator is summed in log space, so it stays finite when every
-test's own region mass is below the smallest double.  ``_log_mass_scalar``, on
+One walk serves one or two non-point regions, so a test's two hypotheses
+cost one pass over the pairs (``paired_mixture_log_marginals``).  Each
+tile builds the Gaussian factor g = exp(-t^2 / 2) r once, with
+r = 1 / sqrt(v_i + v_j) and t = (x_i - x_j) r, and every region takes its
+terms from it: g itself on the full line, g times a region mass from
+``ndtr`` otherwise.  For below:a with above:a the two masses are q and
+1 - q, so one q = ndtr(-|z|) gives both: the small side is g q and the
+large side g - g q >= g / 2, which does not cancel.  A point region is a
+closed-form density and takes no walk.
+
+Each tile is summed in the linear domain with no row shift: every term is
+a product of exp(-t^2 / 2) <= 1, r and a mass, which costs far less than
+``log_ndtr`` and the pairwise posterior mean and sd it would need.  The
+own term is read off the tile's diagonal, and each region's weights are
+applied after the sum: e^-own_bias on the own term, pi_h on the others.  A
+row whose region lies beyond the tail of every posterior underflows there;
+it alone is recomputed by the log-domain tile (``_log_rows``), so results
+match the log-domain sum over the whole range.  The denominator is summed
+in log space, so it stays finite when every test's own region mass is
+below the smallest double.  ``_log_mass_scalar``, on
 ``numerics.special.log_ndtr_scalar``, is the scalar reference that
 ``multitest.cross_marginal`` builds single terms from.
 
@@ -40,18 +49,20 @@ from ebfkit.numerics.special import log_ndtr_scalar
 
 __all__ = [
     "KIND_POINT", "KIND_BELOW", "KIND_ABOVE", "KIND_INTERVAL", "KIND_FULL",
-    "active_backend", "mixture_log_marginals", "replicate_mixture_log_marginals",
+    "active_backend", "mixture_log_marginals", "paired_mixture_log_marginals",
+    "replicate_mixture_log_marginals",
 ]
 
 KIND_POINT, KIND_BELOW, KIND_ABOVE, KIND_INTERVAL, KIND_FULL = 0, 1, 2, 3, 4
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Entries in one (rows x m) working array of the batch kernel.  2**16
-# float64 values (512 KiB) stay within a typical L2 cache; at m = 2000 on a
-# 2-core Xeon, tiles of 2**14..2**16 entries ran fastest and 2**20 lost most
-# of the gain.
-_TILE_ELEMENTS = 1 << 16
+# Entries in one (rows x m) working array of the batch kernel.  A tile of
+# two regions holds about five such arrays; at 2**14 float64 values
+# (128 KiB) each they stay within a typical L2 cache.  On a 2-core Xeon
+# with 2 MiB of L2 per core, 2**14 ran a below/above pair at m = 300-4000
+# about 20% faster than 2**16, and 2**20 lost most of the gain of tiling.
+_TILE_ELEMENTS = 1 << 14
 
 # A row of the linear-domain tile whose scaled sum falls below this has lost
 # its terms to underflow and is recomputed in the log domain.  Only rows
@@ -126,15 +137,41 @@ def _log_rows(x, var, kind, a, b, log_pi, own_bias, i):
                         best[:, 0] + np.log(terms.sum(axis=1)), -math.inf)
 
 
-def _pair_terms(x, sd, var, kind, za, zb, i0, i1):
-    """sqrt(2 pi) times the unweighted pair terms of rows i0..i1-1 against
-    columns i0..m-1: exp(-t^2 / 2) r mass_ij, with r = 1 / sqrt(v_i + v_j)
-    and t = (x_i - x_j) r.
+def _standardized_bounds(kind, a, b, x, sd):
+    """Per-test standardized bounds (za, zb) of a non-point region, oriented
+    so that the pair mass is ndtr(z_ij), or ndtr(hi) - ndtr(lo) for an
+    interval; (None, None) for the full line."""
+    if kind == KIND_BELOW:
+        return (a - x) / sd, None
+    if kind == KIND_ABOVE:
+        return (x - a) / sd, None
+    if kind == KIND_INTERVAL:
+        # the standardized centre c and half-width h of the interval
+        return (0.5 * (a + b) - x) / sd, 0.5 * (b - a) / sd
+    return None, None
 
-    The mass is a standard normal CDF at (sd_j z_i + sd_i z_j) r, where z_k
-    standardizes a bound by test k's own posterior, so the pairwise
-    posterior mean and sd are never formed.  Every factor is symmetric in
-    (i, j).
+
+def _pair_bound(sd, z, r, i0, i1):
+    """(sd_j z_i + sd_i z_j) r over the tile: a per-test standardized bound
+    carried to the pair's posterior, symmetric in (i, j)."""
+    out = z[i0:i1, None] * sd[i0:]
+    out += sd[i0:i1, None] * z[i0:]
+    out *= r
+    return out
+
+
+def _pair_terms(x, sd, var, bounds, complementary, i0, i1):
+    """sqrt(2 pi) times the unweighted pair terms of each region, rows
+    i0..i1-1 against columns i0..m-1: g mass_ij, with the Gaussian factor
+    g = exp(-t^2 / 2) r, r = 1 / sqrt(v_i + v_j) and t = (x_i - x_j) r,
+    built once and shared by the regions.
+
+    The mass is a standard normal CDF at a pair bound (``_pair_bound``), so
+    the pairwise posterior mean and sd are never formed.  For a
+    complementary pair, below:a with above:a, the two masses are q and
+    1 - q at one q = ndtr(-|z|): the smaller side is g q and the larger
+    g - g q >= g / 2, so the subtraction does not cancel; the sign of z
+    says which region is which side.  Every factor is symmetric in (i, j).
     """
     r = var[i0:i1, None] + var[i0:]
     np.sqrt(r, out=r)
@@ -145,62 +182,63 @@ def _pair_terms(x, sd, var, kind, za, zb, i0, i1):
     g *= -0.5
     np.exp(g, out=g)
     g *= r
-    if kind != KIND_FULL:
-        sdi, sdj = sd[i0:i1, None], sd[i0:]
-        z = za[i0:i1, None] * sdj
-        z += sdi * za[i0:]
-        z *= r
-        if kind == KIND_INTERVAL:
-            # za and zb hold the centre c and half-width h of the standardized
-            # interval; flipped into the lower tail it is (-|c| - h, -|c| + h)
-            h = zb[i0:i1, None] * sdj
-            h += sdi * zb[i0:]
-            h *= r
+    if complementary:
+        z = _pair_bound(sd, bounds[0][0], r, i0, i1)
+        first_large = z >= 0.0
+        np.abs(z, out=z)
+        np.negative(z, out=z)
+        small = ndtr(z, out=z)
+        small *= g
+        # the gap g - 2 g q >= 0 is added to the large side only, so each
+        # small side is g q exactly
+        gap = g
+        gap -= small
+        gap -= small
+        first = gap * first_large
+        gap -= first
+        first += small
+        gap += small
+        return first, gap
+    terms = []
+    for za, zb in bounds:
+        if za is None:
+            terms.append(g)
+            continue
+        z = _pair_bound(sd, za, r, i0, i1)
+        if zb is None:
+            mass = ndtr(z, out=z)
+        else:
+            # the interval flipped into the lower tail, (-|c| - h, -|c| + h)
+            h = _pair_bound(sd, zb, r, i0, i1)
             np.abs(z, out=z)
             np.negative(z, out=z)
-            hi = z + h
+            mass = z + h
             z -= h
-            ndtr(hi, out=hi)
-            hi -= ndtr(z, out=z)
-            g *= hi
-        else:
-            g *= ndtr(z, out=z)
-    return g
+            ndtr(mass, out=mass)
+            mass -= ndtr(z, out=z)
+        mass *= g
+        terms.append(mass)
+    return terms
 
 
-def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
-    if kind == KIND_POINT:
-        out[:] = -0.5 * ((x - a) ** 2 / var + np.log(var) + _LOG_2PI)
-        return
-    m = x.shape[0]
-    sd = np.sqrt(var)
-    # per-test standardized bounds, oriented so the pair mass is ndtr(z_ij)
-    za = zb = None
-    if kind == KIND_BELOW:
-        za = (a - x) / sd
-    elif kind == KIND_ABOVE:
-        za = (x - a) / sd
-    elif kind == KIND_INTERVAL:
-        za = (0.5 * (a + b) - x) / sd
-        zb = 0.5 * (b - a) / sd
-    # Upper triangle in tiles of rows i0..i1-1 and columns i0..m-1.  The
-    # diagonal block holds both halves of its pairs, so its row sums cover
-    # them; each term right of it also belongs to its column's row.  The
-    # own terms are taken off the diagonal before summing, so the weights
-    # can be applied to the two sums afterwards.
-    own = np.empty(m)
-    cross = np.zeros(m)
-    i0 = 0
-    while i0 < m:
-        i1 = min(m, i0 + max(1, _TILE_ELEMENTS // (m - i0)))
-        g = _pair_terms(x, sd, var, kind, za, zb, i0, i1)
-        diag = np.arange(i1 - i0)
-        own[i0:i1] = g[diag, diag]
-        g[diag, diag] = 0.0
-        cross[i0:i1] += g.sum(axis=1)
-        cross[i1:] += g[:, i1 - i0:].sum(axis=0)
-        del g  # so that two tiles are never alive at once
-        i0 = i1
+def _accumulate(terms, own, cross, i0, i1):
+    """Add one tile's terms to each region's own and cross sums.  The
+    diagonal block holds both halves of its pairs, so its row sums cover
+    them; each term right of it also belongs to its column's row.  Every
+    own term is read before any diagonal is zeroed, since two regions may
+    share one array."""
+    diag = np.arange(i1 - i0)
+    for k, t in enumerate(terms):
+        own[k, i0:i1] = t[diag, diag]
+    for k, t in enumerate(terms):
+        t[diag, diag] = 0.0
+        cross[k, i0:i1] += t.sum(axis=1)
+        cross[k, i1:] += t[:, i1 - i0:].sum(axis=0)
+
+
+def _finish(x, var, sd, region, pi_h, own, cross, out):
+    """log marginals of one region from its own and cross sums."""
+    kind, a, b, own_bias = region
     total = math.exp(-own_bias) * own + pi_h * cross
     with np.errstate(divide="ignore"):
         np.log(total, out=out)
@@ -208,7 +246,7 @@ def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
     # rows whose region lies beyond the tail of every posterior underflow
     # here; they alone are recomputed in the log domain
     deep = np.flatnonzero(~(total >= _LINEAR_FLOOR))
-    rows = max(1, _TILE_ELEMENTS // m)
+    rows = max(1, _TILE_ELEMENTS // x.shape[0])
     for k0 in range(0, deep.size, rows):
         i = deep[k0:k0 + rows]
         out[i] = _log_rows(x, var, kind, a, b, math.log(pi_h), own_bias, i)
@@ -220,6 +258,34 @@ def _mixture_kernel_np(x, var, kind, a, b, pi_h, own_bias, out):
         den = np.exp(lmass - top)
     den += pi_h * (den.sum() - den)
     out -= top + np.log(den)
+
+
+def _mixture_walk(x, var, regions, pi_h, outs):
+    """Log marginals of one or two non-point regions, each (kind, a, b,
+    own_bias), from one walk over the upper triangle of pairs.
+
+    The walk goes in tiles of rows i0..i1-1 against columns i0..m-1, and
+    every region's terms in a tile share its Gaussian factor.  The own
+    terms are taken off the diagonal before summing, so each region's
+    weights can be applied to its two sums afterwards.
+    """
+    m = x.shape[0]
+    sd = np.sqrt(var)
+    bounds = [_standardized_bounds(kind, a, b, x, sd) for kind, a, b, _ in regions]
+    complementary = (len(regions) == 2
+                     and {regions[0][0], regions[1][0]} == {KIND_BELOW, KIND_ABOVE}
+                     and regions[0][1] == regions[1][1])
+    own = np.empty((len(regions), m))
+    cross = np.zeros((len(regions), m))
+    i0 = 0
+    while i0 < m:
+        i1 = min(m, i0 + max(1, _TILE_ELEMENTS // (m - i0)))
+        # a temporary, so that two tiles are never alive at once
+        _accumulate(_pair_terms(x, sd, var, bounds, complementary, i0, i1),
+                    own, cross, i0, i1)
+        i0 = i1
+    for k, region in enumerate(regions):
+        _finish(x, var, sd, region, pi_h, own[k], cross[k], outs[k])
 
 
 def _replicate_kernel_np(x, centers, var, pi_h, own_log_weight, out):
@@ -239,17 +305,42 @@ def _replicate_kernel_np(x, centers, var, pi_h, own_log_weight, out):
                               - log_norm)
 
 
+def _log_marginals(x, standard_errors, regions, pi_h):
+    """Log marginals of each region, (kind, a, b, own_bias): point regions
+    in closed form, the others from one walk over the pairs."""
+    x = np.ascontiguousarray(x, dtype=float)
+    var = np.ascontiguousarray(np.square(standard_errors, dtype=float))
+    regions = [(kind, 0.0 if a is None else float(a), 0.0 if b is None else float(b),
+                float(own_bias)) for kind, a, b, own_bias in regions]
+    outs = [np.empty_like(x) for _ in regions]
+    if x.shape[0] == 0:
+        return outs
+    walked, walked_outs = [], []
+    for region, out in zip(regions, outs):
+        if region[0] == KIND_POINT:
+            out[:] = -0.5 * ((x - region[1]) ** 2 / var + np.log(var) + _LOG_2PI)
+        else:
+            walked.append(region)
+            walked_outs.append(out)
+    if walked:
+        _mixture_walk(x, var, walked, float(pi_h), walked_outs)
+    return outs
+
+
 def mixture_log_marginals(x, standard_errors, kind, a, b, pi_h, own_bias):
     """Per-test log mixture marginal of one region for a batch of normal
     statistics.  The own-data term is down-weighted by exp(-own_bias); the
     other tests' contributions carry weight pi_h."""
-    x = np.ascontiguousarray(x, dtype=float)
-    var = np.ascontiguousarray(np.square(standard_errors, dtype=float))
-    out = np.empty_like(x)
-    af = float(a) if a is not None else 0.0
-    bf = float(b) if b is not None else 0.0
-    _mixture_kernel_np(x, var, kind, af, bf, float(pi_h), float(own_bias), out)
-    return out
+    return _log_marginals(x, standard_errors, [(kind, a, b, own_bias)], pi_h)[0]
+
+
+def paired_mixture_log_marginals(x, standard_errors, h0, h1, pi_h):
+    """Per-test log mixture marginals of two regions, h0 and h1, each given
+    as (kind, a, b, own_bias), from one walk over the pairs whose tiles
+    build the Gaussian factor once for both.  The same numbers as two
+    ``mixture_log_marginals`` calls; returns (h0's, h1's)."""
+    m0, m1 = _log_marginals(x, standard_errors, [h0, h1], pi_h)
+    return m0, m1
 
 
 def replicate_mixture_log_marginals(x, centers, variance, pi_h, own_log_weight):

@@ -59,6 +59,8 @@ class CountData:
         _check_alpha(self.alpha)
         if not (math.isfinite(x) and math.isfinite(n)):
             raise DomainError(f"successes and trials must be finite, got {x!r}, {n!r}")
+        _check_whole("successes", x)
+        _check_whole("trials", n)
         if self.model == BINOMIAL:
             if not 0 <= x <= n or n < 1:
                 raise DomainError("binomial data needs 0 <= x <= n, n >= 1")
@@ -74,9 +76,15 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"prior shape alpha must be positive and finite, got {alpha!r}")
 
 
+def _check_whole(name: str, k) -> None:
+    if k != math.floor(k):
+        raise DomainError(f"{name} must be a whole number, got {k!r}")
+
+
 def _check_count(name: str, k) -> None:
     if not 1 <= k < math.inf:
         raise DomainError(f"{name} must be a finite count >= 1, got {k!r}")
+    _check_whole(name, k)
 
 
 def _log_choose(n, k):

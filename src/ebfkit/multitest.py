@@ -21,6 +21,14 @@ With pi_h -> 0 the foreign terms vanish and each test recovers its
 single-test factor; in large batches the factor is typically insensitive to
 pi_h except very near 0, so the default pi_h = 1 is a serviceable choice
 when the true fraction of non-null tests is unknown.
+
+The numerators are O(m^2) sums over pairs of tests.  When neither
+hypothesis is a point, both are taken in one walk over the pairs
+(``_kernels.paired_mixture_log_marginals``): each tile's Gaussian factor
+is built once for both regions, and a complementary pair below:a /
+above:a gets both region masses from one ``ndtr`` per pair, as q and
+1 - q.  A point hypothesis is a closed-form density, so it is computed on
+its own.
 """
 
 from __future__ import annotations
@@ -128,21 +136,23 @@ def _region_args(region: HypothesisRegion):
     return kind, region.a, None
 
 
-def _batch_log_marginals(batch: MultiTestBatch, region: HypothesisRegion):
-    bias = normal_ebf.region_bias(region)
-    kind, a, b = _region_args(region)
-    vals = _kernels.mixture_log_marginals(
-        batch.estimates, batch.standard_errors, kind, a, b,
-        batch.pi_h, bias.value)
-    if not np.all(np.isfinite(vals)):
-        raise DegenerateRegionError("a mixture marginal underflowed to zero mass")
-    return vals, bias
-
-
 def multi_ebf(batch: MultiTestBatch) -> list[EvidenceReport]:
-    """One evidence report per test from the mixture marginals."""
-    m0, b0 = _batch_log_marginals(batch, batch.h0)
-    m1, b1 = _batch_log_marginals(batch, batch.h1)
+    """One evidence report per test from the mixture marginals.
+
+    Two non-point regions share one walk over the pairs; a point region's
+    marginal is a closed-form density with nothing to share.
+    """
+    b0, b1 = normal_ebf.region_bias(batch.h0), normal_ebf.region_bias(batch.h1)
+    r0 = (*_region_args(batch.h0), b0.value)
+    r1 = (*_region_args(batch.h1), b1.value)
+    x, se, pi_h = batch.estimates, batch.standard_errors, batch.pi_h
+    if "point" in (batch.h0.kind, batch.h1.kind):
+        m0, m1 = (_kernels.mixture_log_marginals(x, se, kind, a, b, pi_h, own_bias)
+                  for kind, a, b, own_bias in (r0, r1))
+    else:
+        m0, m1 = _kernels.paired_mixture_log_marginals(x, se, r0, r1, pi_h)
+    if not (np.all(np.isfinite(m0)) and np.all(np.isfinite(m1))):
+        raise DegenerateRegionError("a mixture marginal underflowed to zero mass")
     diff = m0 - m1
     return [
         EvidenceReport(float(d), "normal-multi", batch.h0, batch.h1, b0, b1)

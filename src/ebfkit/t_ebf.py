@@ -71,10 +71,15 @@ def log_leading_constant(df: float) -> float:
 # ----------------------------------------------------------------- marginals
 
 def _mass(region: HypothesisRegion, centre: float, scale: float, df: float) -> float:
+    """t_df mass of a region about centre at scale.  A region that lies
+    wholly above the centre is mirrored into the lower tail, where the CDF
+    difference does not cancel."""
     a, b = region.bounds()
-    lo = t_cdf((a - centre) / scale, df) if a > -math.inf else 0.0
-    hi = t_cdf((b - centre) / scale, df) if b < math.inf else 1.0
-    mass = hi - lo
+    lo, hi = (a - centre) / scale, (b - centre) / scale
+    if lo > 0.0:
+        lo, hi = -hi, -lo
+    mass = ((t_cdf(hi, df) if hi < math.inf else 1.0)
+            - (t_cdf(lo, df) if lo > -math.inf else 0.0))
     if mass <= 0.0:
         raise DegenerateRegionError("region mass underflows to zero")
     return mass

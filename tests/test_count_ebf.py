@@ -60,6 +60,22 @@ class TestCountData:
         with pytest.raises(DomainError, match=match):
             CountData(*args)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.5, 5.5, BINOMIAL), "successes"),
+        ((2, 5.5, BINOMIAL), "trials"),
+        ((1.5, 4, NEGATIVE_BINOMIAL), "successes"),
+        ((2, 4.25, NEGATIVE_BINOMIAL), "trials"),
+    ])
+    def test_rejects_fractional_counts(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number"):
+            CountData(*args)
+
+    @pytest.mark.parametrize("model", [BINOMIAL, NEGATIVE_BINOMIAL])
+    def test_integral_floats_are_counts(self, model):
+        got = binom_posterior_marginal if model == BINOMIAL else negbinom_posterior_marginal
+        assert (got(CountData(3.0, 10.0, model), FULL).log_value
+                == got(CountData(3, 10, model), FULL).log_value)
+
 
 class TestBinomialMarginal:
     def test_all_successes_closed_form(self):
@@ -285,3 +301,15 @@ class TestBiasRejectsBadInput:
     def test_negbinom_expected_bias(self, x, alpha, name):
         with pytest.raises(DomainError, match=f"^{name} must be"):
             negbinom_expected_bias(x, FULL, alpha)
+
+    @pytest.mark.parametrize("bias, name", [
+        (binom_expected_bias, "n"), (negbinom_expected_bias, "x"),
+    ])
+    def test_rejects_fractional_count(self, bias, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number, got 2.5"):
+            bias(2.5, FULL)
+
+    def test_integral_float_is_a_count(self):
+        assert binom_expected_bias(10.0).value == binom_expected_bias(10).value
+        assert (negbinom_expected_bias(3.0, FULL).value
+                == negbinom_expected_bias(3, FULL).value)

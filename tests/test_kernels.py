@@ -232,3 +232,77 @@ def test_permutation_permutes_rows(data, region, pi_h, tile, perm_seed):
         base = K.mixture_log_marginals(x, se, kind, a, b, pi_h, OWN_BIAS)
         moved = K.mixture_log_marginals(x[perm], se[perm], kind, a, b, pi_h, OWN_BIAS)
     np.testing.assert_allclose(moved, base[perm], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [K.KIND_POINT, K.KIND_BELOW, K.KIND_ABOVE,
+                                  K.KIND_INTERVAL, K.KIND_FULL])
+def test_empty_batch(kind):
+    empty = np.empty(0)
+    assert K.mixture_log_marginals(empty, empty, kind, -1.0, 1.0, 1.0, OWN_BIAS).shape == (0,)
+    for other in (K.KIND_POINT, K.KIND_BELOW, K.KIND_ABOVE, K.KIND_INTERVAL, K.KIND_FULL):
+        for h0, h1 in [((kind, -1.0, 1.0, 0.1), (other, -1.0, 1.0, 0.2)),
+                       ((other, -1.0, 1.0, 0.1), (kind, -1.0, 1.0, 0.2))]:
+            m0, m1 = K.paired_mixture_log_marginals(empty, empty, h0, h1, 0.5)
+            assert m0.shape == m1.shape == (0,)
+
+
+# Every ordered pair of non-point regions, the complementary half-lines
+# below:0/above:0 (one ndtr for both) among them.
+NONPOINT = [HypothesisRegion.full(), HypothesisRegion.below(-0.4),
+            HypothesisRegion.above(0.4), HypothesisRegion.interval(-1.0, 0.7),
+            HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)]
+_region_id = lambda r: r.kind if r.a is None else f"{r.kind}:{r.a}"  # noqa: E731
+
+
+def _paired_and_single(x, se, h0, h1, pi_h):
+    """The two-region walk and two one-region calls, with differing own
+    biases."""
+    (k0, a0, b0), (k1, a1, b1) = _region_args(h0), _region_args(h1)
+    paired = K.paired_mixture_log_marginals(x, se, (k0, a0, b0, 0.35), (k1, a1, b1, 0.1),
+                                            pi_h)
+    single = (K.mixture_log_marginals(x, se, k0, a0, b0, pi_h, 0.35),
+              K.mixture_log_marginals(x, se, k1, a1, b1, pi_h, 0.1))
+    return paired, single
+
+
+@pytest.mark.parametrize("h0", NONPOINT, ids=_region_id)
+@pytest.mark.parametrize("h1", NONPOINT, ids=_region_id)
+@pytest.mark.parametrize("pi_h", [1.0, 0.1])
+@pytest.mark.parametrize("tile", [16, 46, K._TILE_ELEMENTS])
+def test_paired_walk_equals_two_walks(h0, h1, pi_h, tile, monkeypatch):
+    rng = np.random.default_rng(29)
+    se = np.exp(0.4 * rng.standard_normal(23))
+    x = 1.5 * rng.standard_normal(23) * se
+    monkeypatch.setattr(K, "_TILE_ELEMENTS", tile)
+    paired, single = _paired_and_single(x, se, h0, h1, pi_h)
+    for got, want in zip(paired, single):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+# Rows at +-40 standard errors: the far side of each pair is beyond the
+# tail of their posteriors, so its rows take the log-domain path.
+@pytest.mark.parametrize("a", [45.0, -45.0])
+@pytest.mark.parametrize("flip", [False, True], ids=["below/above", "above/below"])
+@pytest.mark.parametrize("pi_h", [1.0, 0.1])
+def test_paired_walk_fallback_rows(a, flip, pi_h, monkeypatch):
+    rng = np.random.default_rng(3)
+    se = np.exp(0.4 * rng.standard_normal(26))
+    x = np.concatenate([1.5 * rng.standard_normal(20), np.full(3, 40.0), np.full(3, -40.0)])
+    x *= se
+    h0, h1 = HypothesisRegion.below(a), HypothesisRegion.above(a)
+    if flip:
+        h0, h1 = h1, h0
+    fallback = []
+    log_rows = K._log_rows
+
+    def spy(*args):
+        fallback.extend(args[-1])
+        return log_rows(*args)
+
+    monkeypatch.setattr(K, "_log_rows", spy)
+    paired, _ = _paired_and_single(x, se, h0, h1, pi_h)
+    assert len(fallback) > x.size // 2
+    monkeypatch.setattr(K, "_log_rows", log_rows)
+    _, single = _paired_and_single(x, se, h0, h1, pi_h)
+    for got, want in zip(paired, single):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ebfkit.core import HypothesisRegion
@@ -188,6 +189,26 @@ class TestEbfT:
         r = ebf_t(1.0, 5, POINT0, FULL)
         assert r.bias_h0.value == 0.0
         assert r.bias_h1.value == pytest.approx(t_expected_bias(5).value)
+
+    def test_half_line_far_above_the_statistic(self):
+        """The mass of above:0 about t = -40 is a lower-tail mass; taken
+        as 1 - CDF it cancels to 0."""
+        below, above = HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)
+        pos = ebf_t(40.0, 30, below, above).ebf01_log
+        assert pos == pytest.approx(-62.275, abs=1e-3)
+        assert ebf_t(-40.0, 30, below, above).ebf01_log == pytest.approx(-pos, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(-30.0, 30.0), df=st.sampled_from([5.0, 30.0, 300.0]),
+       a=st.floats(-3.0, 3.0), width=st.floats(0.0, 4.0))
+def test_reflection_swaps_half_lines(t, df, a, width):
+    """t -> -t maps below:a to above:-a, so below:a against above:b at -t
+    is the negated factor of below:-b against above:-a at t."""
+    b = a + width
+    got = ebf_t(-t, df, HypothesisRegion.below(a), HypothesisRegion.above(b)).ebf01_log
+    want = ebf_t(t, df, HypothesisRegion.below(-b), HypothesisRegion.above(-a)).ebf01_log
+    assert got == pytest.approx(-want, rel=1e-9, abs=1e-9)
 
 
 class TestRejectsBadInput:
