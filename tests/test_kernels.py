@@ -64,8 +64,9 @@ class TestMixtureAgainstCrossMarginal:
 
     # 23 tests in triangle tiles of 2 rows growing to 5 as the rows
     # shorten (a ragged last tile of 4), of 1 row (a tile smaller than one
-    # row) growing to 4, and of the default size (one tile).
-    @pytest.mark.parametrize("tile", [46, 16, K._TILE_ELEMENTS])
+    # row) growing to 4, and of 2**16 entries (one tile, as at the default
+    # size; a literal, so the case's name does not follow the default).
+    @pytest.mark.parametrize("tile", [46, 16, 1 << 16])
     def test_rows_across_tiles(self, region, pi_h, tile, monkeypatch):
         rng = np.random.default_rng(17)
         batch = MultiTestBatch.from_arrays(
