@@ -30,9 +30,8 @@ row whose region lies beyond the tail of every posterior underflows there;
 it alone is recomputed by the log-domain tile (``_log_rows``), so results
 match the log-domain sum over the whole range.  The denominator is summed
 in log space, so it stays finite when every test's own region mass is
-below the smallest double.  ``_log_mass_scalar``, on
-``numerics.special.log_ndtr_scalar``, is the scalar reference that
-``multitest.cross_marginal`` builds single terms from.
+below the smallest double.  ``normal_ebf._log_mass`` is the scalar
+reference that ``multitest.cross_marginal`` builds single terms from.
 
 Region encoding: kind 0 point, 1 below (-inf, a), 2 above (a, inf),
 3 interval (a, b), 4 full line.
@@ -44,8 +43,6 @@ import math
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
-
-from ebfkit.numerics.special import log_ndtr_scalar
 
 __all__ = [
     "KIND_POINT", "KIND_BELOW", "KIND_ABOVE", "KIND_INTERVAL", "KIND_FULL",
@@ -75,29 +72,9 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _log_mass_scalar(kind, a, b, mu, sd):
-    """log of the N(mu, sd^2) mass of an encoded region."""
-    if kind == KIND_FULL:
-        return 0.0
-    if kind == KIND_BELOW:
-        return log_ndtr_scalar((a - mu) / sd)
-    if kind == KIND_ABOVE:
-        return log_ndtr_scalar((mu - a) / sd)
-    alpha = (a - mu) / sd
-    beta = (b - mu) / sd
-    if alpha + beta > 0.0:
-        alpha, beta = -beta, -alpha
-    lb = log_ndtr_scalar(beta)
-    la = log_ndtr_scalar(alpha)
-    diff = la - lb
-    if diff >= 0.0:
-        return -math.inf
-    return lb + math.log1p(-math.exp(diff))
-
-
 def _log_mass(kind, a, b, mu, sd):
     """Elementwise log of the N(mu, sd^2) mass of an encoded non-point
-    region: the array form of ``_log_mass_scalar``."""
+    region: the array form of ``normal_ebf._log_mass``."""
     if kind == KIND_FULL:
         return np.zeros(np.broadcast(mu, sd).shape)
     if kind == KIND_BELOW:

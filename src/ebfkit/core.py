@@ -16,6 +16,7 @@ from ebfkit.exceptions import ContractError, DomainError
 __all__ = [
     "EVIDENCE_BASE",
     "LOG_EVIDENCE_BASE",
+    "BIAS_CACHE_SIZE",
     "HypothesisRegion",
     "LogMarginal",
     "BiasValue",
@@ -27,6 +28,9 @@ __all__ = [
 # the point where the third derivative of the logistic curve vanishes.
 EVIDENCE_BASE = 2.0 + math.sqrt(3.0)
 LOG_EVIDENCE_BASE = math.log(EVIDENCE_BASE)
+
+# Distinct arguments whose expected bias each engine keeps (an LRU bound).
+BIAS_CACHE_SIZE = 256
 
 _KINDS = ("point", "below", "above", "interval", "full")
 

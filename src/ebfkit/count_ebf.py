@@ -17,13 +17,15 @@ the dependence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy, xlog1py
 
-from ebfkit.core import BiasValue, EvidenceReport, HypothesisRegion, LogMarginal, make_report
+from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
+                         LogMarginal, make_report)
 from ebfkit.exceptions import DegenerateRegionError, DomainError, NonConvergedError
 from ebfkit.numerics import beta_cdf, log_beta, log_gamma
 
@@ -210,9 +212,6 @@ def _negbinom_series_terms(x: int, alpha: float, region: HypothesisRegion,
     return np.exp(lpr1), term_a, term_c, np.exp(lq2), term_g
 
 
-_negbinom_bias_cache: dict = {}
-
-
 def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
                            alpha: float = 1.0, tail_mass_tol: float = 1e-10,
                            remainder_tol: float = 1e-6,
@@ -232,18 +231,16 @@ def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
     region = region or HypothesisRegion.full()
     if region.is_point():
         return BiasValue.zero()
-    key = (x, region, alpha, tail_mass_tol, remainder_tol, max_terms)
-    cached = _negbinom_bias_cache.get(key)
-    if cached is not None:
-        return cached
+    return _negbinom_bias(x, region, alpha, tail_mass_tol, remainder_tol, max_terms)
+
+
+@functools.lru_cache(maxsize=BIAS_CACHE_SIZE)
+def _negbinom_bias(x, region, alpha, tail_mass_tol, remainder_tol, max_terms):
     lo, _hi = region.bounds(_DOMAIN)
     if lo <= 0.0:
-        result = _negbinom_bias_series(x, region, alpha, tail_mass_tol,
-                                       remainder_tol, max_terms)
-    else:
-        result = _negbinom_bias_box(x, region, alpha, remainder_tol)
-    _negbinom_bias_cache[key] = result
-    return result
+        return _negbinom_bias_series(x, region, alpha, tail_mass_tol,
+                                     remainder_tol, max_terms)
+    return _negbinom_bias_box(x, region, alpha, remainder_tol)
 
 
 def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,

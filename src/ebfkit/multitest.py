@@ -121,12 +121,7 @@ def cross_marginal(batch: MultiTestBatch, i: int, j: int,
         return log_pdf
     post_var = vi * vj / v
     post_mean = (xi * vj + xj * vi) / v
-    kind, a, b = _region_args(region)
-    lmass = _kernels._log_mass_scalar(kind, a, 0.0 if b is None else b,
-                                      post_mean, math.sqrt(post_var))
-    if lmass == -math.inf:
-        raise DegenerateRegionError("region mass underflows to zero")
-    return log_pdf + lmass
+    return log_pdf + normal_ebf._log_mass(region, post_mean, math.sqrt(post_var))
 
 
 def _region_args(region: HypothesisRegion):

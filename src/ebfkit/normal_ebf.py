@@ -56,10 +56,13 @@ def region_bias(region: HypothesisRegion) -> BiasValue:
     return BiasValue.closed_form(0.5)
 
 
-def _log_mass(alpha: float, beta: float) -> float:
-    """log of Phi(beta) - Phi(alpha) for standardized bounds alpha < beta."""
-    if alpha == -math.inf and beta == math.inf:
+def _log_mass(region: HypothesisRegion, mu: float, sd: float) -> float:
+    """log of the N(mu, sd^2) mass of a non-point region."""
+    a, b = region.bounds()
+    if a == -math.inf and b == math.inf:
         return 0.0
+    alpha = (a - mu) / sd if a > -math.inf else -math.inf
+    beta = (b - mu) / sd if b < math.inf else math.inf
     # work on the side where both bounds sit in the lower tail
     if alpha + beta > 0:
         alpha, beta = -beta, -alpha
@@ -85,14 +88,9 @@ def normal_posterior_marginal(x: float, sigma: float,
         raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
     if region.is_point():
         return LogMarginal(normal_log_pdf_scalar(x, region.a, sigma * sigma), FAMILY)
-    a, b = region.bounds()
-    scale_half = sigma / math.sqrt(2.0)
-    log_num_mass = _log_mass((a - x) / scale_half if a > -math.inf else -math.inf,
-                             (b - x) / scale_half if b < math.inf else math.inf)
-    log_den_mass = _log_mass((a - x) / sigma if a > -math.inf else -math.inf,
-                             (b - x) / sigma if b < math.inf else math.inf)
     log_value = (normal_log_pdf_scalar(x, x, 2.0 * sigma * sigma)
-                 + log_num_mass - log_den_mass)
+                 + _log_mass(region, x, sigma / math.sqrt(2.0))
+                 - _log_mass(region, x, sigma))
     return LogMarginal(log_value, FAMILY)
 
 

@@ -24,14 +24,15 @@ hypotheses; it decreases from 2 log 2 at df = 1 towards the normal value 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 from scipy import integrate as _integrate
 from scipy.interpolate import CubicSpline
 
-from ebfkit.core import BiasValue, EvidenceReport, HypothesisRegion, LogMarginal, make_report
+from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
+                         LogMarginal, make_report)
 from ebfkit.exceptions import DegenerateRegionError, DomainError, NonConvergedError
 from ebfkit.numerics import log_gamma, t_cdf, t_log_pdf
 
@@ -176,21 +177,6 @@ class _DifferenceDensity:
         return resid + math.log(2.0) + t_log_pdf(d, self.df)
 
 
-_cache_lock = threading.Lock()
-_density_cache: dict[float, _DifferenceDensity] = {}
-_bias_cache: dict[float, BiasValue] = {}
-
-
-def _difference_density(df: float) -> _DifferenceDensity:
-    with _cache_lock:
-        dens = _density_cache.get(df)
-    if dens is None:
-        dens = _DifferenceDensity(df)
-        with _cache_lock:
-            _density_cache.setdefault(df, dens)
-    return dens
-
-
 def t_expected_bias(df: float) -> BiasValue:
     """Expected bias of the unrestricted-hypothesis log marginal.
 
@@ -202,13 +188,12 @@ def t_expected_bias(df: float) -> BiasValue:
     _check_args(None, df)
     if df > LARGE_DF_CUTOFF:
         return BiasValue(0.5, "closed-form", achieved_error=_LARGE_DF_BIAS_ERROR)
-    key = float(df)
-    with _cache_lock:
-        cached = _bias_cache.get(key)
-    if cached is not None:
-        return cached
+    return _expected_bias(float(df))
 
-    dens = _difference_density(key)
+
+@functools.lru_cache(maxsize=BIAS_CACHE_SIZE)
+def _expected_bias(df: float) -> BiasValue:
+    dens = _DifferenceDensity(df)
 
     def weighted_log(d):
         ld = dens.log_density(d)
@@ -224,10 +209,7 @@ def t_expected_bias(df: float) -> BiasValue:
     if err > 1e-3:
         raise NonConvergedError("t bias quadrature did not settle",
                                 value=value, error_estimate=err)
-    result = BiasValue(value, "quadrature", achieved_error=err)
-    with _cache_lock:
-        _bias_cache.setdefault(key, result)
-    return result
+    return BiasValue(value, "quadrature", achieved_error=err)
 
 
 def region_bias(region: HypothesisRegion, df: float) -> BiasValue:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ebfkit.core import HypothesisRegion
@@ -83,6 +84,38 @@ class TestExpectedBias:
     def test_diagonal_approaches_half(self):
         assert f_expected_bias(50, 50).value == pytest.approx(0.503, abs=0.005)
         assert f_expected_bias(50, 50).value > 0.5
+
+    def test_two_two_closed_form_density(self):
+        """F(2, 2) is a ratio of two unit exponentials, so log F is standard
+        logistic and W is the difference of two independent logistics, whose
+        density is known in closed form.  The bias is log q(0) + H(q) with
+        q(0) = 1/6 and H by plain quadrature of that density."""
+        def q(w):
+            w = abs(w)
+            if w < 0.5:  # the closed form cancels near 0
+                return (1 / 6 - w ** 2 / 60 + w ** 4 / 1008 - w ** 6 / 21600
+                        + w ** 8 / 532224 - 691 * w ** 10 / 9906624000)
+            t = math.exp(-w)
+            return ((w - 2) * t + (w + 2) * t * t) / (1 - t) ** 3
+
+        def neg_q_log_q(w):
+            qw = q(w)
+            return -qw * math.log(qw) if qw > 0 else 0.0
+
+        near, _ = integrate.quad(neg_q_log_q, 0.0, 0.5, epsabs=1e-14, epsrel=1e-13)
+        far, _ = integrate.quad(neg_q_log_q, 0.5, 100.0, epsabs=1e-14, epsrel=1e-13,
+                                limit=200)
+        expected = math.log(1 / 6) + 2.0 * (near + far)
+        assert expected == pytest.approx(0.5643494610, abs=1e-10)
+        assert abs(f_expected_bias(2, 2).value - expected) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(df1=st.floats(1.0, 1e4), df2=st.floats(1.0, 1e4))
+    def test_symmetric_above_half_and_settled(self, df1, df2):
+        forward, backward = f_expected_bias(df1, df2), f_expected_bias(df2, df1)
+        assert abs(forward.value - backward.value) < 1e-12
+        assert forward.value > 0.5
+        assert forward.achieved_error < 1e-6
 
     def test_region_rules(self):
         full = f_expected_bias(2, 3).value

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from ebfkit import _kernels as K
 from ebfkit.core import HypothesisRegion
 from ebfkit.multitest import MultiTestBatch, cross_marginal, multi_ebf, _region_args
-from ebfkit.normal_ebf import ebf_interval
+from ebfkit.normal_ebf import _log_mass, ebf_interval
 from ebfkit.numerics import normal_log_pdf
 
 REGIONS = [
@@ -29,16 +29,14 @@ def _oracle_row(batch, region, own_bias):
     """Each test's log mixture marginal assembled term by term: the own
     term and the pi_h-weighted cross_marginal terms over the masses."""
     x, se = batch.estimates, batch.standard_errors
-    kind, a, b = _region_args(region)
-    b = 0.0 if b is None else b
     if region.kind == "point":
-        return np.array([normal_log_pdf(xi, a, si ** 2) for xi, si in zip(x, se)])
+        return np.array([normal_log_pdf(xi, region.a, si ** 2) for xi, si in zip(x, se)])
     m, pi_h = batch.size, batch.pi_h
-    mass = np.exp([K._log_mass_scalar(kind, a, b, x[j], se[j]) for j in range(m)])
+    mass = np.exp([_log_mass(region, x[j], se[j]) for j in range(m)])
     out = np.empty(m)
     for i in range(m):
         own = (normal_log_pdf(x[i], x[i], 2.0 * se[i] ** 2)
-               + K._log_mass_scalar(kind, a, b, x[i], se[i] / math.sqrt(2.0))
+               + _log_mass(region, x[i], se[i] / math.sqrt(2.0))
                - own_bias)
         cross = [math.log(pi_h) + cross_marginal(batch, i, j, region)
                  for j in range(m) if j != i]
