@@ -315,10 +315,9 @@ def _cmd_multi(args) -> list[dict]:
                     "single_ebf01_log": single.ebf01_log})
         records.append(rec)
     if args.ranked:
-        ranks = {row["id"]: row["rank"]
-                 for row in ranked_summary(reports, ids=ids)}
-        for rec in records:
-            rec["rank"] = ranks[rec["id"]]
+        # rank by position: ids may repeat
+        for row in ranked_summary(reports):
+            records[row["id"]]["rank"] = row["rank"]
     return records
 
 

@@ -210,6 +210,15 @@ class LogMarginal:
                            bias_applied=bias.value, corrected=True)
 
 
+def _exp(log_value: float) -> float:
+    """math.exp that saturates to inf instead of raising (it already
+    underflows to 0.0), so every finite log factor has a linear value."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class EvidenceReport:
     """Evidence about a pair of hypotheses on the Bayes-factor scale.
@@ -227,11 +236,11 @@ class EvidenceReport:
 
     @property
     def ebf01(self) -> float:
-        return math.exp(self.ebf01_log)
+        return _exp(self.ebf01_log)
 
     @property
     def ebf10(self) -> float:
-        return math.exp(-self.ebf01_log)
+        return _exp(-self.ebf01_log)
 
     @property
     def ebf10_log(self) -> float:

@@ -148,11 +148,9 @@ def multi_ebf(batch: MultiTestBatch) -> list[EvidenceReport]:
         m0, m1 = _kernels.paired_mixture_log_marginals(x, se, r0, r1, pi_h)
     if not (np.all(np.isfinite(m0)) and np.all(np.isfinite(m1))):
         raise DegenerateRegionError("a mixture marginal underflowed to zero mass")
-    diff = m0 - m1
-    return [
-        EvidenceReport(float(d), "normal-multi", batch.h0, batch.h1, b0, b1)
-        for d in diff
-    ]
+    h0, h1 = batch.h0, batch.h1
+    return [EvidenceReport(d, "normal-multi", h0, h1, b0, b1)
+            for d in (m0 - m1).tolist()]
 
 
 def ranked_summary(reports: list[EvidenceReport], ids=None) -> list[dict]:
@@ -160,11 +158,12 @@ def ranked_summary(reports: list[EvidenceReport], ids=None) -> list[dict]:
     if not reports:
         raise DomainError("ranked_summary needs at least one report")
     if ids is None:
-        ids = list(range(len(reports)))
+        ids = range(len(reports))
+    elif len(ids) != len(reports):
+        raise DomainError(f"ranked_summary got {len(ids)} ids for "
+                          f"{len(reports)} reports")
     score = np.array([r.ebf10_log for r in reports])
-    order = np.argsort(-score, kind="stable")
-    rows = [None] * len(reports)
-    for rank, idx in enumerate(order, start=1):
-        rows[rank - 1] = {"id": ids[idx], "ebf10_log": float(score[idx]),
-                          "rank": rank}
-    return rows
+    order = np.argsort(-score, kind="stable").tolist()
+    score = score.tolist()
+    return [{"id": ids[idx], "ebf10_log": score[idx], "rank": rank}
+            for rank, idx in enumerate(order, start=1)]

@@ -10,13 +10,19 @@ overstatement in log scale is 1/2 per unrestricted mean component, 1/4 per
 half-line component, and 0 for point or bounded-interval hypotheses.  All
 factors below are ratios of such bias-corrected marginals, so the scale
 sigma cancels and only the standardized statistic matters.
+
+``normal_posterior_marginal`` and ``ebf_interval`` share one private
+formula, ``_log_value``; the factor subtracts the region biases from the
+two log values directly instead of building the corrected ``LogMarginal``s,
+with the same arithmetic and the same errors.  Region biases are three
+shared module constants (0, 1/4, 1/2), which ``multitest`` reuses.
 """
 
 from __future__ import annotations
 
 import math
 
-from ebfkit.core import BiasValue, EvidenceReport, HypothesisRegion, LogMarginal, make_report
+from ebfkit.core import BiasValue, EvidenceReport, HypothesisRegion, LogMarginal
 from ebfkit.exceptions import DegenerateRegionError, DomainError
 from ebfkit.numerics.special import log_ndtr_scalar, normal_log_pdf_scalar
 
@@ -36,7 +42,13 @@ __all__ = [
 FAMILY = "normal"
 
 LOG2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 _FAVOURS_NULL_THRESHOLD = 1.0 + LOG2  # z^2 below this favours the point null
+
+# region biases are immutable, so every report shares these three
+_NO_BIAS = BiasValue.zero()
+_HALF_LINE_BIAS = BiasValue.closed_form(0.25)
+_FULL_LINE_BIAS = BiasValue.closed_form(0.5)
 
 
 def bias_normal(d1: int, d2: int) -> BiasValue:
@@ -50,15 +62,19 @@ def bias_normal(d1: int, d2: int) -> BiasValue:
 def region_bias(region: HypothesisRegion) -> BiasValue:
     """Bias contribution of one region of the mean line."""
     if region.kind in ("point", "interval"):
-        return BiasValue.zero()
+        return _NO_BIAS
     if region.kind in ("below", "above"):
-        return BiasValue.closed_form(0.25)
-    return BiasValue.closed_form(0.5)
+        return _HALF_LINE_BIAS
+    return _FULL_LINE_BIAS
 
 
 def _log_mass(region: HypothesisRegion, mu: float, sd: float) -> float:
     """log of the N(mu, sd^2) mass of a non-point region."""
-    a, b = region.bounds()
+    return _log_mass_between(*region.bounds(), mu, sd)
+
+
+def _log_mass_between(a: float, b: float, mu: float, sd: float) -> float:
+    """log of the N(mu, sd^2) mass of the interval (a, b), a < b."""
     if a == -math.inf and b == math.inf:
         return 0.0
     alpha = (a - mu) / sd if a > -math.inf else -math.inf
@@ -78,29 +94,50 @@ def _log_mass(region: HypothesisRegion, mu: float, sd: float) -> float:
     return lb + math.log1p(-math.exp(diff))
 
 
-def normal_posterior_marginal(x: float, sigma: float,
-                              region: HypothesisRegion) -> LogMarginal:
-    """Uncorrected log posterior marginal likelihood of a mean region."""
+def _check_statistic(x, sigma) -> tuple[float, float]:
     x, sigma = float(x), float(sigma)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
+    return x, sigma
+
+
+def _log_value(x: float, sigma: float, region: HypothesisRegion) -> float:
+    """Uncorrected log posterior marginal of a region for checked floats;
+    may be non-finite, which the callers reject."""
     if region.is_point():
-        return LogMarginal(normal_log_pdf_scalar(x, region.a, sigma * sigma), FAMILY)
-    log_value = (normal_log_pdf_scalar(x, x, 2.0 * sigma * sigma)
-                 + _log_mass(region, x, sigma / math.sqrt(2.0))
-                 - _log_mass(region, x, sigma))
-    return LogMarginal(log_value, FAMILY)
+        return normal_log_pdf_scalar(x, region.a, sigma * sigma)
+    a, b = region.bounds()
+    return (normal_log_pdf_scalar(x, x, 2.0 * sigma * sigma)
+            + _log_mass_between(a, b, x, sigma / _SQRT2)
+            - _log_mass_between(a, b, x, sigma))
+
+
+def normal_posterior_marginal(x: float, sigma: float,
+                              region: HypothesisRegion) -> LogMarginal:
+    """Uncorrected log posterior marginal likelihood of a mean region."""
+    x, sigma = _check_statistic(x, sigma)
+    return LogMarginal(_log_value(x, sigma, region), FAMILY)
 
 
 def ebf_interval(x: float, sigma: float, h0: HypothesisRegion,
                  h1: HypothesisRegion) -> EvidenceReport:
-    """General region-vs-region factor on the mean scale."""
+    """General region-vs-region factor on the mean scale.
+
+    The same value, and the same errors, as pairing the two corrected
+    ``normal_posterior_marginal``s with ``make_report``, built without the
+    intermediate marginals.
+    """
+    x, sigma = _check_statistic(x, sigma)
+    l0 = _log_value(x, sigma, h0)
+    if not math.isfinite(l0):
+        raise DomainError("log marginal likelihood must be finite")
+    l1 = _log_value(x, sigma, h1)
+    if not math.isfinite(l1):
+        raise DomainError("log marginal likelihood must be finite")
     b0, b1 = region_bias(h0), region_bias(h1)
-    m0 = normal_posterior_marginal(x, sigma, h0).correct(b0)
-    m1 = normal_posterior_marginal(x, sigma, h1).correct(b1)
-    return make_report(m0, m1, h0, h1, b0, b1)
+    return EvidenceReport((l0 - b0.value) - (l1 - b1.value), FAMILY, h0, h1, b0, b1)
 
 
 def ebf_two_sided(z: float) -> EvidenceReport:
@@ -114,7 +151,7 @@ def ebf_two_sided(z: float) -> EvidenceReport:
     log_ebf01 = 0.5 * LOG2 - 0.5 * (z * z - 1.0)
     return EvidenceReport(log_ebf01, FAMILY,
                           HypothesisRegion.point(0.0), HypothesisRegion.full(),
-                          BiasValue.zero(), BiasValue.closed_form(0.5))
+                          _NO_BIAS, _FULL_LINE_BIAS)
 
 
 def ebf_one_sided(z: float, negative_possible: bool = True) -> EvidenceReport:
@@ -145,10 +182,9 @@ def ebf_directional(z: float) -> EvidenceReport:
     s2 = math.sqrt(2.0)
     log_ebf01 = (log_ndtr_scalar(-z * s2) - log_ndtr_scalar(z * s2)
                  + log_ndtr_scalar(z) - log_ndtr_scalar(-z))
-    quarter = BiasValue.closed_form(0.25)
     return EvidenceReport(log_ebf01, FAMILY,
                           HypothesisRegion.below(0.0), HypothesisRegion.above(0.0),
-                          quarter, quarter)
+                          _HALF_LINE_BIAS, _HALF_LINE_BIAS)
 
 
 def ebf_chi_squared(z2: float, d: int) -> EvidenceReport:

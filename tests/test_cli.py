@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from ebfkit.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
+from ebfkit.core import HypothesisRegion
+from ebfkit.multitest import MultiTestBatch, multi_ebf
+from ebfkit.normal_ebf import ebf_interval, ebf_two_sided
 
 
 def run_cli(args, capsys, monkeypatch=None, env=None):
@@ -130,12 +133,55 @@ class TestMultiCommand:
                   for row in csv.DictReader(io.StringIO(out2))}
         assert first == second
 
+    def test_ranks_follow_position_with_repeated_ids(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,estimate,se\na,3,1\na,0.1,1\nc,-0.3,1\n")
+        code, out, _ = run_cli(["multi", "--input", str(path), "--ranked"], capsys)
+        assert code == EXIT_OK
+        assert [r["rank"] for r in parse_json(out)] == [1, 3, 2]
+
     def test_missing_columns(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,value\nx,1\n")
         code, _, err = run_cli(["multi", "--input", str(path)], capsys)
         assert code == EXIT_USAGE
         assert "id,estimate,se" in err
+
+
+class TestOverwhelmingEvidence:
+    """Log factors beyond exp's float range still print: the linear fields
+    saturate and the log field keeps the engine's value."""
+
+    def _single(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_OK, err
+        recs = parse_json(out)
+        assert len(recs) == 1
+        return recs[0]
+
+    def test_two_sided(self, capsys):
+        rec = self._single(["normal", "--z", "40"], capsys)
+        assert rec["ebf01_log"] == ebf_two_sided(40.0).ebf01_log
+        assert rec["ebf01_log"] == pytest.approx(-799.15, abs=0.01)
+        assert rec["ebf01"] == 0.0 and rec["ebf10"] == math.inf
+
+    def test_region_form(self, capsys):
+        rec = self._single(["normal", "--x", "0", "--sigma", "1",
+                            "--h0", "point:0", "--h1", "above:45"], capsys)
+        want = ebf_interval(0.0, 1.0, HypothesisRegion.point(0.0),
+                            HypothesisRegion.above(45.0)).ebf01_log
+        assert want > 709.79
+        assert rec["ebf01_log"] == want
+        assert rec["ebf01"] == math.inf and rec["ebf10"] == 0.0
+
+    def test_multi(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("id,estimate,se\nfar,40,1\n")
+        rec = self._single(["multi", "--input", str(path)], capsys)
+        batch = MultiTestBatch.from_arrays([40.0], [1.0], HypothesisRegion.point(0.0),
+                                           HypothesisRegion.full())
+        assert rec["ebf01_log"] == multi_ebf(batch)[0].ebf01_log < -709.79
+        assert rec["ebf01"] == 0.0 and rec["ebf10"] == math.inf
 
 
 class TestTablesAndCurves:

@@ -156,6 +156,18 @@ class TestEvidenceReport:
         assert d["bias_h0"] == {"value": 0.0, "provenance": "closed-form",
                                 "achieved_error": 0.0}
 
+    @pytest.mark.parametrize("log_value", [709.79, 799.15, 1e5])
+    def test_linear_fields_saturate_past_the_float_range(self, log_value):
+        """Past exp's range the larger linear field reads inf and the smaller
+        one exp's own (subnormal or 0.0) value, while the log fields stay
+        exact, so serialising the report cannot fail."""
+        for r, big, small in ((EvidenceReport(log_value, "normal"), "ebf01", "ebf10"),
+                              (EvidenceReport(-log_value, "normal"), "ebf10", "ebf01")):
+            d = r.to_dict()
+            assert d[big] == math.inf and d[small] == math.exp(-log_value)
+            assert d["ebf01_log"] == r.ebf01_log
+            assert d["log10_ebf10"] == -r.ebf01_log / math.log(10.0)
+
     def test_units_formula(self):
         r = EvidenceReport(-1.5, "normal")
         assert r.units_of_evidence == pytest.approx(1.5 / math.log(2 + math.sqrt(3)))

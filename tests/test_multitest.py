@@ -153,3 +153,9 @@ class TestRankedSummary:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             ranked_summary([])
+
+    @pytest.mark.parametrize("ids", [["a", "b"], ["a", "b", "c", "d"]])
+    def test_rejects_id_count_mismatch(self, ids):
+        reports = multi_ebf(_batch([0.3, 2.1, -1.0]))
+        with pytest.raises(DomainError, match=f"got {len(ids)} ids for 3 reports"):
+            ranked_summary(reports, ids=ids)

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ebfkit.core import HypothesisRegion
+from ebfkit.core import HypothesisRegion, make_report
 from ebfkit.exceptions import DegenerateRegionError, DomainError
 from ebfkit.normal_ebf import (
     bias_normal,
@@ -143,6 +144,73 @@ class TestInterval:
     def test_rejects_nonfinite(self, x, sigma, name):
         with pytest.raises(DomainError, match=f"^{name} must be"):
             ebf_interval(x, sigma, HypothesisRegion.below(0.0), HypothesisRegion.above(0.0))
+
+
+def _composed(x, sigma, h0, h1):
+    """ebf_interval spelled out as the public marginals and make_report."""
+    b0, b1 = region_bias(h0), region_bias(h1)
+    return make_report(normal_posterior_marginal(x, sigma, h0).correct(b0),
+                       normal_posterior_marginal(x, sigma, h1).correct(b1),
+                       h0, h1, b0, b1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).to_dict()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+_KIND_REGIONS = {
+    "point": st.builds(HypothesisRegion.point, st.floats(-3.0, 3.0)),
+    "below": st.builds(HypothesisRegion.below, st.floats(-3.0, 3.0)),
+    "above": st.builds(HypothesisRegion.above, st.floats(-3.0, 3.0)),
+    "interval": st.builds(lambda a, w: HypothesisRegion.interval(a, a + w),
+                          st.floats(-3.0, 3.0), st.floats(0.01, 4.0)),
+    "full": st.just(HypothesisRegion.full()),
+}
+
+
+class TestIntervalMatchesComposition:
+    """ebf_interval builds its report directly; it must equal, bit for bit
+    and error for error, the corrected public marginals paired by
+    make_report."""
+
+    @pytest.mark.parametrize("k1", list(_KIND_REGIONS))
+    @pytest.mark.parametrize("k0", list(_KIND_REGIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), z=st.floats(-30.0, 30.0), sigma=st.floats(0.01, 100.0))
+    def test_same_report(self, k0, k1, data, z, sigma):
+        h0, h1 = data.draw(_KIND_REGIONS[k0]), data.draw(_KIND_REGIONS[k1])
+        x = z * sigma
+        # to_dict holds ebf01_log, so equal dicts mean a bit-identical factor
+        assert _outcome(ebf_interval, x, sigma, h0, h1) == _outcome(_composed, x, sigma,
+                                                                   h0, h1)
+
+    @pytest.mark.parametrize("x, sigma, h0, h1", [
+        (math.nan, 1.0, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (math.inf, 1.0, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (-math.inf, 1.0, HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)),
+        (1.0, 0.0, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (1.0, math.nan, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (1.0, math.inf, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (math.nan, math.nan, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (0.0, 1.0, HypothesisRegion.point(0.0), HypothesisRegion.above(45.0)),
+        (0.0, 1.0, HypothesisRegion.interval(40.0, 41.0), HypothesisRegion.full()),
+        (0.0, 1.0, HypothesisRegion.above(1e200), HypothesisRegion.full()),
+        (0.0, 1.0, HypothesisRegion.full(), HypothesisRegion.above(1e200)),
+        (1e200, 1.0, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (0.0, 1.0, HypothesisRegion.point(1e200), HypothesisRegion.above(1e200)),
+        (0.0, 1.0, HypothesisRegion.full(), HypothesisRegion.point(1e200)),
+        (1.0, 1e200, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+        (1.0, 1e-200, HypothesisRegion.point(0.0), HypothesisRegion.full()),
+    ], ids=["nan-x", "inf-x", "-inf-x", "zero-sigma", "nan-sigma", "inf-sigma",
+            "nan-both", "far-half-line", "far-interval", "degenerate-h0",
+            "degenerate-h1", "nonfinite-h0", "nonfinite-h0-before-degenerate-h1",
+            "nonfinite-h1", "huge-sigma", "tiny-sigma"])
+    def test_same_error_or_report(self, x, sigma, h0, h1):
+        assert _outcome(ebf_interval, x, sigma, h0, h1) == _outcome(_composed, x, sigma,
+                                                                   h0, h1)
 
 
 class TestChiSquared:
