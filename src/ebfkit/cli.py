@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every engine is exposed as a subcommand with JSON (default) or CSV output;
-set EBFKIT_FORMAT to change the default.  JSON floats round-trip losslessly
-(up to 17 significant digits); CSV prints 10.  Exit codes: 0 success,
-2 usage or domain error, 3 numerical non-convergence.
+set EBFKIT_FORMAT to change the default.  JSON is strict: floats round-trip
+losslessly (up to 17 significant digits) and a non-finite one, such as a
+saturated linear factor, is written as null.  CSV prints 10 significant
+digits.  Exit codes: 0 success, 2 usage or domain error, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -48,14 +51,27 @@ def _flatten(record: dict, prefix="") -> dict:
     return flat
 
 
+def _finite_or_null(value):
+    """The value with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def emit(records: list[dict], fmt: str, out=None, lossless=()) -> None:
-    """Write records as JSON (lossless floats) or CSV (10 significant
-    digits, except columns named in ``lossless``, which keep full precision
-    so batch output can be re-ingested exactly)."""
+    """Write records as strict JSON (lossless floats; inf and nan, such as
+    a saturated linear factor, become null) or CSV (10 significant digits,
+    except columns named in ``lossless``, which keep full precision so
+    batch output can be re-ingested exactly)."""
     out = out or sys.stdout
     if fmt == "json":
-        envelope = {"schema_version": SCHEMA_VERSION, "records": records}
-        json.dump(envelope, out, indent=2)
+        envelope = {"schema_version": SCHEMA_VERSION,
+                    "records": _finite_or_null(records)}
+        json.dump(envelope, out, indent=2, allow_nan=False)
         out.write("\n")
         return
     rows = [_flatten(r) for r in records]

@@ -4,12 +4,19 @@ A hypothesis is a region of a scalar parameter domain.  Engines turn data
 plus a region into a posterior marginal likelihood held in natural-log
 scale, correct it for the overfitting bias of re-using the data as its own
 prior, and pair two corrected marginals into an evidence report.
+
+All four types are frozen.  The hot paths build one ``EvidenceReport`` per
+test and read a region's endpoints once per marginal, so the report fills
+its fields straight into the instance dict and a region keeps its
+whole-line endpoints (``line_bounds``) after first use; neither changes
+what ``==``, ``hash``, ``repr`` or pickling see.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ebfkit.exceptions import ContractError, DomainError
 
@@ -33,6 +40,10 @@ LOG_EVIDENCE_BASE = math.log(EVIDENCE_BASE)
 BIAS_CACHE_SIZE = 256
 
 _KINDS = ("point", "below", "above", "interval", "full")
+
+# bounds()'s default domain; compared by identity, so an equal tuple passed
+# explicitly takes the clipping path and gets the same endpoints
+_WHOLE_LINE = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,20 @@ class HypothesisRegion:
         return HypothesisRegion("full")
 
     # ---- geometry ---------------------------------------------------------
-    def bounds(self, domain=(-math.inf, math.inf)) -> tuple[float, float]:
+    def bounds(self, domain=_WHOLE_LINE) -> tuple[float, float]:
         """Endpoints after clipping to the family's parameter domain."""
+        if domain is _WHOLE_LINE:
+            return self.line_bounds
+        return self._clipped(domain)
+
+    @cached_property
+    def line_bounds(self) -> tuple[float, float]:
+        """Endpoints on the whole real line, ``bounds()`` with the default
+        domain; computed on first use and kept in the instance dict, which
+        the field-wise ``==``, ``hash`` and ``repr`` never read."""
+        return self._clipped(_WHOLE_LINE)
+
+    def _clipped(self, domain) -> tuple[float, float]:
         lo, hi = domain
         if self.kind == "point":
             if not lo <= self.a <= hi:
@@ -116,7 +139,7 @@ class HypothesisRegion:
     def is_point(self) -> bool:
         return self.kind == "point"
 
-    def covers_domain(self, domain=(-math.inf, math.inf)) -> bool:
+    def covers_domain(self, domain=_WHOLE_LINE) -> bool:
         if self.kind == "full":
             return True
         if self.kind in ("below", "above", "interval"):
@@ -219,20 +242,43 @@ def _exp(log_value: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+# BiasValue is frozen, so reports built without biases share one zero
+_ZERO_BIAS = BiasValue.zero()
+
+
+@dataclass(frozen=True, init=False)
 class EvidenceReport:
     """Evidence about a pair of hypotheses on the Bayes-factor scale.
 
     ``ebf01_log`` is the log empirical Bayes factor in favour of the first
     hypothesis; positive ``units_of_evidence`` favours the second one.
+
+    Batches build one report per test, so ``__init__`` writes the fields
+    into the instance dict instead of the frozen dataclass's six
+    ``object.__setattr__`` calls; the fields, ``==``, ``hash``, ``repr``,
+    ``dataclasses.replace``, pickling and the error on assignment are the
+    dataclass's own.
     """
 
     ebf01_log: float
     family: str
     h0: HypothesisRegion | None = None
     h1: HypothesisRegion | None = None
-    bias_h0: BiasValue = field(default_factory=BiasValue.zero)
-    bias_h1: BiasValue = field(default_factory=BiasValue.zero)
+    bias_h0: BiasValue = _ZERO_BIAS
+    bias_h1: BiasValue = _ZERO_BIAS
+
+    def __init__(self, ebf01_log: float, family: str,
+                 h0: HypothesisRegion | None = None,
+                 h1: HypothesisRegion | None = None,
+                 bias_h0: BiasValue = _ZERO_BIAS,
+                 bias_h1: BiasValue = _ZERO_BIAS):
+        d = self.__dict__
+        d["ebf01_log"] = ebf01_log
+        d["family"] = family
+        d["h0"] = h0
+        d["h1"] = h1
+        d["bias_h0"] = bias_h0
+        d["bias_h1"] = bias_h1
 
     @property
     def ebf01(self) -> float:

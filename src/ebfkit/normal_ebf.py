@@ -14,8 +14,12 @@ sigma cancels and only the standardized statistic matters.
 ``normal_posterior_marginal`` and ``ebf_interval`` share one private
 formula, ``_log_value``; the factor subtracts the region biases from the
 two log values directly instead of building the corrected ``LogMarginal``s,
-with the same arithmetic and the same errors.  Region biases are three
-shared module constants (0, 1/4, 1/2), which ``multitest`` reuses.
+with the same arithmetic and the same errors.  ``_log_value`` reads a
+region's endpoints from ``HypothesisRegion.line_bounds`` (computed once per
+region), and a half-line's mass is one log CDF at its standardized bound.
+Region biases are three shared module constants (0, 1/4, 1/2), which
+``multitest`` reuses; the fixed regions of the two-sided, one-sided,
+directional and chi-square tests are shared constants too.
 """
 
 from __future__ import annotations
@@ -45,10 +49,14 @@ LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _FAVOURS_NULL_THRESHOLD = 1.0 + LOG2  # z^2 below this favours the point null
 
-# region biases are immutable, so every report shares these three
+# regions and biases are immutable, so every report shares these
 _NO_BIAS = BiasValue.zero()
 _HALF_LINE_BIAS = BiasValue.closed_form(0.25)
 _FULL_LINE_BIAS = BiasValue.closed_form(0.5)
+_NULL = HypothesisRegion.point(0.0)
+_NEGATIVE = HypothesisRegion.below(0.0)
+_POSITIVE = HypothesisRegion.above(0.0)
+_FULL = HypothesisRegion.full()
 
 
 def bias_normal(d1: int, d2: int) -> BiasValue:
@@ -70,20 +78,26 @@ def region_bias(region: HypothesisRegion) -> BiasValue:
 
 def _log_mass(region: HypothesisRegion, mu: float, sd: float) -> float:
     """log of the N(mu, sd^2) mass of a non-point region."""
-    return _log_mass_between(*region.bounds(), mu, sd)
+    return _log_mass_between(*region.line_bounds, mu, sd)
 
 
 def _log_mass_between(a: float, b: float, mu: float, sd: float) -> float:
     """log of the N(mu, sd^2) mass of the interval (a, b), a < b."""
-    if a == -math.inf and b == math.inf:
-        return 0.0
-    alpha = (a - mu) / sd if a > -math.inf else -math.inf
-    beta = (b - mu) / sd if b < math.inf else math.inf
-    # work on the side where both bounds sit in the lower tail
-    if alpha + beta > 0:
-        alpha, beta = -beta, -alpha
-    la = log_ndtr_scalar(alpha) if alpha > -math.inf else -math.inf
-    lb = log_ndtr_scalar(beta)
+    la = -math.inf
+    if a == -math.inf:
+        if b == math.inf:
+            return 0.0
+        lb = log_ndtr_scalar((b - mu) / sd)
+    elif b == math.inf:
+        # -((a - mu)/sd) == (mu - a)/sd exactly: the two-bound form's
+        # reflection, without its second log CDF
+        lb = log_ndtr_scalar((mu - a) / sd)
+    else:
+        alpha, beta = (a - mu) / sd, (b - mu) / sd
+        # work on the side where both bounds sit in the lower tail
+        if alpha + beta > 0:
+            alpha, beta = -beta, -alpha
+        la, lb = log_ndtr_scalar(alpha), log_ndtr_scalar(beta)
     if lb == -math.inf:
         raise DegenerateRegionError("region mass underflows to zero")
     if la == -math.inf:
@@ -106,9 +120,9 @@ def _check_statistic(x, sigma) -> tuple[float, float]:
 def _log_value(x: float, sigma: float, region: HypothesisRegion) -> float:
     """Uncorrected log posterior marginal of a region for checked floats;
     may be non-finite, which the callers reject."""
-    if region.is_point():
+    if region.kind == "point":
         return normal_log_pdf_scalar(x, region.a, sigma * sigma)
-    a, b = region.bounds()
+    a, b = region.line_bounds
     return (normal_log_pdf_scalar(x, x, 2.0 * sigma * sigma)
             + _log_mass_between(a, b, x, sigma / _SQRT2)
             - _log_mass_between(a, b, x, sigma))
@@ -149,8 +163,7 @@ def ebf_two_sided(z: float) -> EvidenceReport:
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     log_ebf01 = 0.5 * LOG2 - 0.5 * (z * z - 1.0)
-    return EvidenceReport(log_ebf01, FAMILY,
-                          HypothesisRegion.point(0.0), HypothesisRegion.full(),
+    return EvidenceReport(log_ebf01, FAMILY, _NULL, _FULL,
                           _NO_BIAS, _FULL_LINE_BIAS)
 
 
@@ -163,12 +176,10 @@ def ebf_one_sided(z: float, negative_possible: bool = True) -> EvidenceReport:
     """
     if not math.isfinite(z):
         raise DomainError("z must be finite")
-    bias1 = 0.25 if negative_possible else 0.5
-    log_phi_ratio = log_ndtr_scalar(z) - log_ndtr_scalar(z * math.sqrt(2.0))
-    log_ebf01 = log_phi_ratio + 0.5 * LOG2 - 0.5 * (z * z) + bias1
-    return EvidenceReport(log_ebf01, FAMILY,
-                          HypothesisRegion.point(0.0), HypothesisRegion.above(0.0),
-                          BiasValue.zero(), BiasValue.closed_form(bias1))
+    bias1 = _HALF_LINE_BIAS if negative_possible else _FULL_LINE_BIAS
+    log_phi_ratio = log_ndtr_scalar(z) - log_ndtr_scalar(z * _SQRT2)
+    log_ebf01 = log_phi_ratio + 0.5 * LOG2 - 0.5 * (z * z) + bias1.value
+    return EvidenceReport(log_ebf01, FAMILY, _NULL, _POSITIVE, _NO_BIAS, bias1)
 
 
 def ebf_directional(z: float) -> EvidenceReport:
@@ -179,11 +190,9 @@ def ebf_directional(z: float) -> EvidenceReport:
     """
     if not math.isfinite(z):
         raise DomainError("z must be finite")
-    s2 = math.sqrt(2.0)
-    log_ebf01 = (log_ndtr_scalar(-z * s2) - log_ndtr_scalar(z * s2)
+    log_ebf01 = (log_ndtr_scalar(-z * _SQRT2) - log_ndtr_scalar(z * _SQRT2)
                  + log_ndtr_scalar(z) - log_ndtr_scalar(-z))
-    return EvidenceReport(log_ebf01, FAMILY,
-                          HypothesisRegion.below(0.0), HypothesisRegion.above(0.0),
+    return EvidenceReport(log_ebf01, FAMILY, _NEGATIVE, _POSITIVE,
                           _HALF_LINE_BIAS, _HALF_LINE_BIAS)
 
 
@@ -198,9 +207,8 @@ def ebf_chi_squared(z2: float, d: int) -> EvidenceReport:
     if d < 1:
         raise DomainError("dimension must be >= 1")
     log_ebf01 = 0.5 * d * LOG2 - 0.5 * (z2 - d)
-    return EvidenceReport(log_ebf01, FAMILY,
-                          HypothesisRegion.point(0.0), HypothesisRegion.full(),
-                          BiasValue.zero(), BiasValue.closed_form(d / 2.0))
+    return EvidenceReport(log_ebf01, FAMILY, _NULL, _FULL,
+                          _NO_BIAS, BiasValue.closed_form(d / 2.0))
 
 
 def deviance_criterion(max_log_likelihood: float, d: int) -> float:

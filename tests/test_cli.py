@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -148,22 +147,34 @@ class TestMultiCommand:
         assert "id,estimate,se" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestOverwhelmingEvidence:
-    """Log factors beyond exp's float range still print: the linear fields
-    saturate and the log field keeps the engine's value."""
+    """Log factors beyond exp's float range still print: a saturated linear
+    field is written as null, so the output stays strict JSON, and the log
+    field keeps the engine's value."""
 
     def _single(self, args, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == EXIT_OK, err
-        recs = parse_json(out)
-        assert len(recs) == 1
-        return recs[0]
+        # json.loads alone would accept the non-standard Infinity and NaN
+        data = json.loads(out, parse_constant=_reject_constant)
+        assert data["schema_version"] == 1 and len(data["records"]) == 1
+        return data["records"][0]
+
+    def test_csv_keeps_inf(self, capsys):
+        code, out, err = run_cli(["normal", "--z", "40", "--format", "csv"], capsys)
+        assert code == EXIT_OK, err
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["ebf10"] == "inf" and float(row["ebf01"]) == 0.0
 
     def test_two_sided(self, capsys):
         rec = self._single(["normal", "--z", "40"], capsys)
         assert rec["ebf01_log"] == ebf_two_sided(40.0).ebf01_log
         assert rec["ebf01_log"] == pytest.approx(-799.15, abs=0.01)
-        assert rec["ebf01"] == 0.0 and rec["ebf10"] == math.inf
+        assert rec["ebf01"] == 0.0 and rec["ebf10"] is None
 
     def test_region_form(self, capsys):
         rec = self._single(["normal", "--x", "0", "--sigma", "1",
@@ -172,7 +183,7 @@ class TestOverwhelmingEvidence:
                             HypothesisRegion.above(45.0)).ebf01_log
         assert want > 709.79
         assert rec["ebf01_log"] == want
-        assert rec["ebf01"] == math.inf and rec["ebf10"] == 0.0
+        assert rec["ebf01"] is None and rec["ebf10"] == 0.0
 
     def test_multi(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
@@ -181,7 +192,7 @@ class TestOverwhelmingEvidence:
         batch = MultiTestBatch.from_arrays([40.0], [1.0], HypothesisRegion.point(0.0),
                                            HypothesisRegion.full())
         assert rec["ebf01_log"] == multi_ebf(batch)[0].ebf01_log < -709.79
-        assert rec["ebf01"] == 0.0 and rec["ebf10"] == math.inf
+        assert rec["ebf01"] == 0.0 and rec["ebf10"] is None
 
 
 class TestTablesAndCurves:

@@ -1,6 +1,8 @@
 """Regions, marginals, bias values, and evidence reports."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -171,3 +173,146 @@ class TestEvidenceReport:
     def test_units_formula(self):
         r = EvidenceReport(-1.5, "normal")
         assert r.units_of_evidence == pytest.approx(1.5 / math.log(2 + math.sqrt(3)))
+
+
+_REPORT_FIELDS = ("ebf01_log", "family", "h0", "h1", "bias_h0", "bias_h1")
+
+
+def _field_tuple(report):
+    return tuple(getattr(report, name) for name in _REPORT_FIELDS)
+
+
+def _sample_reports():
+    p, f = HypothesisRegion.point(0.0), HypothesisRegion.full()
+    half = BiasValue.closed_form(0.25)
+    return [EvidenceReport(0.5, "normal"),
+            EvidenceReport(0.5, "normal", p, f),
+            EvidenceReport(0.5, "normal", p, f, BiasValue.zero(), BiasValue.zero()),
+            EvidenceReport(0.5, "normal", p, f, BiasValue.zero(), BiasValue.closed_form(0.5)),
+            EvidenceReport(-0.5, "normal", p, f),
+            EvidenceReport(0.5, "t", p, f),
+            EvidenceReport(0.5, "normal", f, p),
+            EvidenceReport(0.5, "normal", p, f, half),
+            EvidenceReport(0.5, "normal", p, f, bias_h1=half)]
+
+
+class TestEvidenceReportSemantics:
+    """The report keeps the frozen dataclass's behaviour: its fields, their
+    order, ==, hash, repr, replace, pickling and immutability."""
+
+    def test_fields_in_order(self):
+        assert tuple(f.name for f in dataclasses.fields(EvidenceReport)) == _REPORT_FIELDS
+
+    def test_default_biases(self):
+        r = EvidenceReport(0.5, "normal")
+        assert r.h0 is None and r.h1 is None
+        assert r.bias_h0 == BiasValue.zero() and r.bias_h1 == BiasValue.zero()
+
+    def test_keyword_and_positional_construction_agree(self):
+        p, f = HypothesisRegion.point(0.0), HypothesisRegion.full()
+        b0, b1 = BiasValue.zero(), BiasValue.closed_form(0.5)
+        positional = EvidenceReport(0.5, "normal", p, f, b0, b1)
+        keyword = EvidenceReport(bias_h1=b1, bias_h0=b0, h1=f, h0=p,
+                                 family="normal", ebf01_log=0.5)
+        assert positional == keyword
+        assert _field_tuple(positional) == (0.5, "normal", p, f, b0, b1)
+        with pytest.raises(TypeError):
+            EvidenceReport(0.5)
+        with pytest.raises(TypeError):
+            EvidenceReport(0.5, "normal", colour="red")
+
+    def test_eq_and_hash_are_field_wise(self):
+        reports = _sample_reports()
+        for r in reports:
+            assert hash(r) == hash(_field_tuple(r))
+            for other in reports:
+                assert (r == other) == (_field_tuple(r) == _field_tuple(other))
+        assert reports[1] == reports[2]
+        assert reports[0] != _field_tuple(reports[0])
+
+    def test_repr(self):
+        for r in _sample_reports():
+            body = ", ".join(f"{name}={getattr(r, name)!r}" for name in _REPORT_FIELDS)
+            assert repr(r) == f"EvidenceReport({body})"
+
+    def test_frozen(self):
+        r = EvidenceReport(0.5, "normal")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.ebf01_log = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.colour = "red"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.family
+        assert r.ebf01_log == 0.5
+
+    def test_replace(self):
+        r = _sample_reports()[3]
+        assert dataclasses.replace(r) == r
+        s = dataclasses.replace(r, ebf01_log=-2.0, h1=None)
+        assert _field_tuple(s) == (-2.0,) + _field_tuple(r)[1:3] + (None,) + _field_tuple(r)[4:]
+
+    def test_pickle_round_trip(self):
+        for r in _sample_reports():
+            back = pickle.loads(pickle.dumps(r))
+            assert type(back) is EvidenceReport
+            assert back == r and hash(back) == hash(r) and repr(back) == repr(r)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                back.family = "t"
+
+
+class TestRegionLineBounds:
+    """Whole-line endpoints are kept on the region after first use; nothing
+    that compares, hashes, prints or pickles a region sees them."""
+
+    regions = [HypothesisRegion.point(0.5), HypothesisRegion.below(0.5),
+               HypothesisRegion.above(-1.0), HypothesisRegion.interval(-0.5, 0.5),
+               HypothesisRegion.full()]
+
+    def test_line_bounds_are_the_default_bounds(self):
+        for r in self.regions:
+            # an equal tuple is not the default object, so it takes the clipping path
+            assert r.line_bounds == r.bounds((-math.inf, math.inf))
+            assert r.bounds() is r.line_bounds
+
+    def test_eq_hash_repr_unaffected(self):
+        for r in self.regions:
+            fresh = HypothesisRegion(r.kind, r.a, r.b)
+            before = (hash(r), repr(r))
+            r.bounds()
+            assert r == fresh and (hash(r), repr(r)) == before == (hash(fresh), repr(fresh))
+            assert repr(r) == f"HypothesisRegion(kind={r.kind!r}, a={r.a!r}, b={r.b!r})"
+
+    def test_pickle_round_trip(self):
+        for r in self.regions:
+            for touched in (False, True):
+                region = HypothesisRegion(r.kind, r.a, r.b)
+                if touched:
+                    region.bounds()
+                back = pickle.loads(pickle.dumps(region))
+                assert back == region and hash(back) == hash(region)
+                assert repr(back) == repr(region)
+                assert back.bounds() == region.bounds()
+
+    def test_replace_recomputes(self):
+        r = HypothesisRegion.below(0.5)
+        r.bounds()
+        assert dataclasses.replace(r, a=2.0).bounds() == (-math.inf, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.line_bounds = (0.0, 1.0)
+
+    def test_other_domains_still_clip(self):
+        unit = (0.0, 1.0)
+        for r in self.regions:
+            r.bounds()
+        point, below, above, interval, full = self.regions
+        assert point.bounds(unit) == (0.5, 0.5)
+        assert below.bounds(unit) == (0.0, 0.5)
+        assert above.bounds(unit) == (0.0, 1.0)
+        assert interval.bounds(unit) == (0.0, 0.5)
+        assert full.bounds(unit) == unit
+        assert full.bounds((0.0, math.inf)) == (0.0, math.inf)
+        with pytest.raises(DomainError):
+            HypothesisRegion.point(1.5).bounds(unit)
+        with pytest.raises(DomainError):
+            HypothesisRegion.interval(2.0, 3.0).bounds(unit)
+        assert below.covers_domain() is False and full.covers_domain() is True

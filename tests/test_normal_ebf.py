@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from ebfkit.core import HypothesisRegion, make_report
 from ebfkit.exceptions import DegenerateRegionError, DomainError
 from ebfkit.normal_ebf import (
+    _log_mass,
     bias_normal,
     deviance_criterion,
     ebf_chi_squared,
@@ -169,6 +171,35 @@ _KIND_REGIONS = {
                           st.floats(-3.0, 3.0), st.floats(0.01, 4.0)),
     "full": st.just(HypothesisRegion.full()),
 }
+
+
+class TestHalfLineMass:
+    """A half-line's log mass is one log CDF at its standardized bound;
+    scipy's log_ndtr is the independent reference, from deep in the lower
+    tail (where the engine switches to its asymptotic series) to z = 8."""
+
+    zs = np.concatenate([np.linspace(-300.0, 8.0, 3081), np.linspace(-38.0, -36.0, 201)])
+
+    @pytest.mark.parametrize("sd", [1.3, 1.3 / math.sqrt(2.0)], ids=["sigma", "sigma/sqrt2"])
+    @pytest.mark.parametrize("kind", ["below", "above"])
+    def test_matches_scipy_log_ndtr(self, kind, sd):
+        bound = 0.7
+        region = HypothesisRegion(kind, bound)
+        for z in self.zs.tolist():
+            if kind == "below":
+                mu = bound - z * sd
+                z_std = (bound - mu) / sd
+            else:
+                mu = bound + z * sd
+                z_std = (mu - bound) / sd
+            want = float(scipy.special.log_ndtr(z_std))
+            assert _log_mass(region, mu, sd) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_underflow_still_raises(self):
+        with pytest.raises(DegenerateRegionError):
+            _log_mass(HypothesisRegion.above(0.0), -1e200, 1e-200)
+        with pytest.raises(DegenerateRegionError):
+            _log_mass(HypothesisRegion.below(0.0), 1e200, 1e-200)
 
 
 class TestIntervalMatchesComposition:
