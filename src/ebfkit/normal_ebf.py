@@ -218,8 +218,11 @@ def deviance_criterion(max_log_likelihood: float, d: int) -> float:
     regular d-parameter normal model; differences of this criterion sit on
     the Bayes-factor scale.
     """
-    if d < 1:
-        raise DomainError("parameter count must be >= 1")
+    if not math.isfinite(max_log_likelihood):
+        raise DomainError(
+            f"max_log_likelihood must be finite, got {max_log_likelihood!r}")
+    if not 1 <= d < math.inf:
+        raise DomainError(f"parameter count must be finite and >= 1, got {d!r}")
     return -2.0 * max_log_likelihood + d * (1.0 + LOG2)
 
 

@@ -1,42 +1,25 @@
-"""Numerical foundation: special functions, distributions, quadrature, RNG."""
+"""Numerical foundation: the special functions, distributions and RNG
+streams the engines call."""
 
 from ebfkit.numerics.special import (
     log_gamma,
     log_beta,
-    regularized_incomplete_beta,
-    normal_pdf,
-    normal_log_pdf,
-    normal_cdf,
-    normal_log_cdf,
     normal_quantile,
 )
 from ebfkit.numerics.distributions import (
-    t_pdf, t_log_pdf, t_cdf, t_quantile,
-    f_pdf, f_log_pdf, f_cdf, f_quantile,
-    beta_pdf, beta_log_pdf, beta_cdf,
-    gamma_pdf, gamma_log_pdf,
-    chi2_cdf, chi2_sf, chi2_quantile,
+    t_log_pdf, t_cdf,
+    f_log_pdf, f_cdf,
+    beta_cdf,
+    chi2_cdf, chi2_sf,
     noncentral_chi2_cdf,
-)
-from ebfkit.numerics.quadrature import (
-    QuadratureSpec,
-    QuadratureResult,
-    integrate_1d,
-    integrate_1d_checked,
-    integrate_2d,
 )
 from ebfkit.numerics.rng import RngStream
 
 __all__ = [
-    "log_gamma", "log_beta", "regularized_incomplete_beta",
-    "normal_pdf", "normal_log_pdf", "normal_cdf", "normal_log_cdf",
-    "normal_quantile",
-    "t_pdf", "t_log_pdf", "t_cdf", "t_quantile",
-    "f_pdf", "f_log_pdf", "f_cdf", "f_quantile",
-    "beta_pdf", "beta_log_pdf", "beta_cdf",
-    "gamma_pdf", "gamma_log_pdf",
-    "chi2_cdf", "chi2_sf", "chi2_quantile", "noncentral_chi2_cdf",
-    "QuadratureSpec", "QuadratureResult",
-    "integrate_1d", "integrate_1d_checked", "integrate_2d",
+    "log_gamma", "log_beta", "normal_quantile",
+    "t_log_pdf", "t_cdf",
+    "f_log_pdf", "f_cdf",
+    "beta_cdf",
+    "chi2_cdf", "chi2_sf", "noncentral_chi2_cdf",
     "RngStream",
 ]

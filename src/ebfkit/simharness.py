@@ -39,6 +39,11 @@ PAPER_SCALE_REPLICATES = 10000
 _FULL_LINE_BIAS = 0.5  # unrestricted normal mean hypothesis
 
 
+def _check_pi_h(pi_h: float) -> None:
+    if not 0.0 < pi_h <= 1.0:  # the MultiTestBatch rule; NaN fails it too
+        raise DomainError(f"pi_h must lie in (0, 1], got {pi_h!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One cell of the bias/error experiments."""
@@ -55,6 +60,7 @@ class ScenarioSpec:
             raise DomainError("scenario must be 1, 2, or 3")
         if self.m < 1 or self.replicates < 1 or self.n < 1:
             raise DomainError("m, replicates, and n must be positive")
+        _check_pi_h(self.pi_h)
 
     def stream(self, role: int) -> RngStream:
         index = (self.scenario * 1_000_003 + self.m * 1_009 + role) & _MASK64
@@ -137,6 +143,8 @@ def run_largescale(m0: int, m1: int, seed: int = 2024,
     """
     if m0 < 0 or m1 < 0 or m0 + m1 < 1:
         raise DomainError("need at least one test")
+    for pi in pi_values:
+        _check_pi_h(pi)
     m = m0 + m1
     stream = RngStream(seed, 777)
     means = np.concatenate([np.zeros(m0), stream.standard_normal(m1)])

@@ -90,12 +90,23 @@ class TestPForUnits:
     def test_inversion_consistency(self):
         """The returned P-value maps back to the requested factor."""
         from ebfkit.normal_ebf import ebf_two_sided
-        from ebfkit.numerics import chi2_quantile, normal_quantile
+        from ebfkit.numerics import normal_quantile
         for u in (0.5, 1.0, 2.5):
             p = p_for_units("normal-2-sided", u)
             z = normal_quantile(1 - p / 2)
             assert ebf_two_sided(z).ebf10 == pytest.approx(
                 EVIDENCE_BASE ** u, rel=1e-9)
+
+    def test_chi2_inversion_consistency(self):
+        """The chi2 P-value maps back through scipy's inverse survival
+        function to a z^2 whose factor is the requested one."""
+        from scipy.stats import chi2
+        from ebfkit.normal_ebf import ebf_chi_squared
+        for d in (1, 2, 3, 10, 100):
+            for u in (1e-6, 0.5, 2.0, 10.0):
+                z2 = chi2.isf(p_for_units("chi2", u, d=d), d)
+                assert ebf_chi_squared(z2, d).ebf10_log == pytest.approx(
+                    u * math.log(EVIDENCE_BASE), rel=1e-9, abs=1e-9)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(UnsupportedFamilyError):

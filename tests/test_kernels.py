@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from ebfkit import _kernels as K
 from ebfkit.core import HypothesisRegion
 from ebfkit.multitest import MultiTestBatch, cross_marginal, multi_ebf, _region_args
 from ebfkit.normal_ebf import _log_mass, ebf_interval
-from ebfkit.numerics import normal_log_pdf
 
 REGIONS = [
     HypothesisRegion.point(0.2),
@@ -30,12 +30,13 @@ def _oracle_row(batch, region, own_bias):
     term and the pi_h-weighted cross_marginal terms over the masses."""
     x, se = batch.estimates, batch.standard_errors
     if region.kind == "point":
-        return np.array([normal_log_pdf(xi, region.a, si ** 2) for xi, si in zip(x, se)])
+        return norm.logpdf(x, region.a, se)
     m, pi_h = batch.size, batch.pi_h
     mass = np.exp([_log_mass(region, x[j], se[j]) for j in range(m)])
+    own_log_pdf = norm.logpdf(x, x, math.sqrt(2.0) * se)
     out = np.empty(m)
     for i in range(m):
-        own = (normal_log_pdf(x[i], x[i], 2.0 * se[i] ** 2)
+        own = (own_log_pdf[i]
                + _log_mass(region, x[i], se[i] / math.sqrt(2.0))
                - own_bias)
         cross = [math.log(pi_h) + cross_marginal(batch, i, j, region)

@@ -1,37 +1,29 @@
-"""Special functions, distributions, quadrature, and RNG streams."""
+"""Special functions, distributions and RNG streams, each against an
+independent reference (scipy, mpmath, closed forms); and the checked
+quadrature behind the normal oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from ebfkit.exceptions import DomainError, NonConvergedError
 from ebfkit.numerics import (
-    QuadratureSpec,
     RngStream,
-    beta_pdf,
+    beta_cdf,
     chi2_cdf,
-    chi2_quantile,
     f_cdf,
-    f_pdf,
-    f_quantile,
-    gamma_pdf,
-    integrate_1d,
-    integrate_1d_checked,
-    integrate_2d,
+    f_log_pdf,
     log_gamma,
     noncentral_chi2_cdf,
-    normal_cdf,
-    normal_log_pdf,
-    normal_pdf,
     normal_quantile,
-    regularized_incomplete_beta,
     t_cdf,
-    t_pdf,
-    t_quantile,
+    t_log_pdf,
 )
 from ebfkit.numerics.special import log_ndtr_scalar, normal_log_pdf_scalar
+
+from test_normal_ebf import _checked_quad
 
 
 class TestLogGamma:
@@ -62,59 +54,56 @@ class TestLogGamma:
 
 
 class TestIncompleteBeta:
+    """beta_cdf is the regularized incomplete beta function I_x(a, b)."""
+
     def test_endpoints(self):
-        assert regularized_incomplete_beta(0.0, 2.0, 3.0) == 0.0
-        assert regularized_incomplete_beta(1.0, 2.0, 3.0) == pytest.approx(1.0, abs=1e-15)
+        assert beta_cdf(0.0, 2.0, 3.0) == 0.0
+        assert beta_cdf(1.0, 2.0, 3.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_uniform(self):
-        assert regularized_incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert beta_cdf(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_polynomial_case(self):
         """I_x(3, 2) = x^3 (4 - 3x): the Beta(3,2) CDF expanded."""
         x = 0.5
-        assert regularized_incomplete_beta(x, 3.0, 2.0) == pytest.approx(
-            x ** 3 * (4 - 3 * x), abs=1e-12)
-        assert regularized_incomplete_beta(0.5, 3.0, 2.0) == pytest.approx(0.3125, abs=1e-12)
+        assert beta_cdf(x, 3.0, 2.0) == pytest.approx(x ** 3 * (4 - 3 * x), abs=1e-12)
+        assert beta_cdf(0.5, 3.0, 2.0) == pytest.approx(0.3125, abs=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            regularized_incomplete_beta(1.5, 1.0, 1.0)
+            beta_cdf(0.5, -1.0, 1.0)
         with pytest.raises(DomainError):
-            regularized_incomplete_beta(0.5, -1.0, 1.0)
+            beta_cdf(0.5, 1.0, 0.0)
 
 
 class TestNormal:
     def test_cdf_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
+        assert log_ndtr_scalar(0.0) == math.log(0.5)
 
     def test_two_sided_tail_matches_threshold(self):
         """2 Phi(-sqrt(1 + log 2)) = 0.193: the two-sided tail at the
         evidence crossing point (frozen at high precision)."""
         z = math.sqrt(1 + math.log(2))
-        p = 2 * (1 - normal_cdf(z))
+        p = 2 * math.exp(log_ndtr_scalar(-z))
         assert p == pytest.approx(0.1931866205629120, abs=1e-12)
         assert round(p, 3) == 0.193
-        assert normal_cdf(1.3012) == pytest.approx(0.9034049973579244, abs=1e-12)
+        assert math.exp(log_ndtr_scalar(1.3012)) == pytest.approx(
+            0.9034049973579244, abs=1e-12)
 
     def test_far_tail(self):
         """Frozen from the erf identity Phi(-5) = erfc(5/sqrt(2))/2."""
-        assert normal_cdf(-5.0) == pytest.approx(2.8665157187919333e-07, rel=1e-12)
+        assert math.exp(log_ndtr_scalar(-5.0)) == pytest.approx(
+            2.8665157187919333e-07, rel=1e-12)
 
     def test_quantile_inverts(self):
         ps = np.linspace(1e-12, 1 - 1e-12, 41)
-        np.testing.assert_allclose(normal_cdf(normal_quantile(ps)), ps, atol=1e-12)
+        np.testing.assert_allclose(special.ndtr(normal_quantile(ps)), ps, atol=1e-12)
 
     def test_quantile_domain(self):
         with pytest.raises(DomainError):
             normal_quantile(0.0)
         with pytest.raises(DomainError):
             normal_quantile(1.0)
-
-
-    @pytest.mark.parametrize("var", [0.0, -1.0, math.nan, np.array([1.0, math.nan])])
-    def test_log_pdf_rejects_bad_variance(self, var):
-        with pytest.raises(DomainError, match="variance > 0"):
-            normal_log_pdf(0.0, 0.0, var)
 
 
 class TestLogNdtrHelper:
@@ -128,9 +117,11 @@ class TestLogNdtrHelper:
 
 class TestNormalLogPdfScalar:
     def test_matches_array_form(self):
+        """Against scipy's array form."""
         for x, mean, var in [(0.3, -1.2, 0.5), (40.0, 0.0, 2.0), (1e200, 0.0, 1.0)]:
-            assert normal_log_pdf_scalar(x, mean, var) == pytest.approx(
-                normal_log_pdf(x, mean, var), rel=1e-15)
+            with np.errstate(over="ignore"):  # the squared distance of 1e200
+                ref = stats.norm.logpdf(x, mean, math.sqrt(var))
+            assert normal_log_pdf_scalar(x, mean, var) == pytest.approx(ref, rel=1e-15)
 
     @pytest.mark.parametrize("var", [0.0, -1.0, math.nan])
     def test_rejects_bad_variance(self, var):
@@ -140,7 +131,7 @@ class TestNormalLogPdfScalar:
 
 class TestDistributions:
     def test_t_pdf_cauchy_at_zero(self):
-        assert t_pdf(0.0, 1.0) == pytest.approx(1 / math.pi, rel=1e-14)
+        assert math.exp(t_log_pdf(0.0, 1.0)) == pytest.approx(1 / math.pi, rel=1e-14)
 
     def test_f_cdf_equal_df_symmetry(self):
         """F(1; v, v) = 1/2: X and 1/X share the law when df match."""
@@ -158,11 +149,30 @@ class TestDistributions:
             assert noncentral_chi2_cdf(x, df, ncp) == pytest.approx(
                 stats.ncx2.cdf(x, df, ncp), abs=1e-10)
 
+    @pytest.mark.parametrize("x, ncp", [(1.0, math.nan), (1.0, math.inf),
+                                        (math.nan, 2.0), (np.array([1.0, math.nan]), 2.0),
+                                        (math.nan, 0.0)])
+    def test_noncentral_chi2_rejects_nonfinite(self, x, ncp):
+        with pytest.raises(DomainError):
+            noncentral_chi2_cdf(x, 1, ncp)
+
+    def test_f_log_pdf_against_scipy(self):
+        x = np.concatenate([np.geomspace(1e-300, 1e-3, 30), np.linspace(0.01, 50, 40),
+                            np.geomspace(1e3, 1e300, 30)])
+        for d1, d2 in ((1, 1), (2, 7), (5, 3), (40, 60)):
+            np.testing.assert_allclose(f_log_pdf(x, d1, d2), stats.f.logpdf(x, d1, d2),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_f_log_pdf_limit_at_zero(self):
+        assert f_log_pdf(0.0, 4, 5) == -math.inf
+        assert f_log_pdf(0.0, 2, 5) == 0.0
+        assert f_log_pdf(0.0, 1, 5) == math.inf
+
     def test_quantiles_invert_cdfs(self):
         ps = np.array([0.001, 0.1, 0.5, 0.9, 0.999])
-        np.testing.assert_allclose(t_cdf(t_quantile(ps, 7), 7), ps, atol=1e-12)
-        np.testing.assert_allclose(f_cdf(f_quantile(ps, 4, 9), 4, 9), ps, atol=1e-12)
-        np.testing.assert_allclose(chi2_cdf(chi2_quantile(ps, 3), 3), ps, atol=1e-12)
+        np.testing.assert_allclose(t_cdf(stats.t.ppf(ps, 7), 7), ps, atol=1e-12)
+        np.testing.assert_allclose(f_cdf(stats.f.ppf(ps, 4, 9), 4, 9), ps, atol=1e-12)
+        np.testing.assert_allclose(chi2_cdf(stats.chi2.ppf(ps, 3), 3), ps, atol=1e-12)
 
     def test_cdfs_nondecreasing_and_bounded(self):
         grid = np.linspace(-8, 8, 161)
@@ -176,78 +186,54 @@ class TestDistributions:
             assert np.all(np.diff(vals) >= 0)
 
     def test_cdf_matches_pdf_by_differentiation(self):
-        """Central difference of each CDF reproduces its density to 1e-6."""
+        """Central difference of each CDF reproduces scipy's density to 1e-6."""
         h = 1e-5
         grid = np.linspace(-4, 4, 17)
         num = (t_cdf(grid + h, 5) - t_cdf(grid - h, 5)) / (2 * h)
-        np.testing.assert_allclose(num, t_pdf(grid, 5), atol=1e-6)
+        np.testing.assert_allclose(num, stats.t.pdf(grid, 5), atol=1e-6)
         fgrid = np.linspace(0.2, 6, 15)
         num = (f_cdf(fgrid + h, 3, 8) - f_cdf(fgrid - h, 3, 8)) / (2 * h)
-        np.testing.assert_allclose(num, f_pdf(fgrid, 3, 8), atol=1e-6)
+        np.testing.assert_allclose(num, stats.f.pdf(fgrid, 3, 8), atol=1e-6)
 
     def test_t_approaches_normal(self):
         grid = np.linspace(-5, 5, 101)
-        dev = np.max(np.abs(t_cdf(grid, 1e6) - normal_cdf(grid)))
+        dev = np.max(np.abs(t_cdf(grid, 1e6) - special.ndtr(grid)))
         assert dev < 1e-5
 
     def test_densities_normalize(self):
-        spec = QuadratureSpec()
-        val, _ = integrate_1d(lambda u: t_pdf(u, 3), (-math.inf, math.inf), spec)
+        val, _ = integrate.quad(lambda u: math.exp(t_log_pdf(u, 3)), -math.inf, math.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
-        val, _ = integrate_1d(lambda u: f_pdf(u, 5, 7), (0.0, math.inf), spec)
-        assert val == pytest.approx(1.0, abs=1e-8)
-        val, _ = integrate_1d(lambda u: beta_pdf(u, 2.5, 1.5), (0.0, 1.0), spec)
-        assert val == pytest.approx(1.0, abs=1e-8)
-        val, _ = integrate_1d(lambda u: gamma_pdf(u, 3.0, 2.0), (0.0, math.inf), spec)
+        val, _ = integrate.quad(lambda u: math.exp(f_log_pdf(u, 5, 7)), 0.0, math.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            t_pdf(0.0, -1)
+            t_log_pdf(0.0, -1)
         with pytest.raises(DomainError):
             f_cdf(-1.0, 2, 2)
         with pytest.raises(DomainError):
             noncentral_chi2_cdf(1.0, 1, -0.5)
+        with pytest.raises(DomainError, match="df must be positive"):
+            noncentral_chi2_cdf(1.0, math.nan, 2.0)
 
 
 class TestQuadrature:
+    """The checked QUADPACK call behind the normal oracle: infinite ranges
+    at full relative precision, and a raise instead of a flagged result."""
+
     def test_exponential(self):
-        val, err = integrate_1d(lambda x: math.exp(-x), (0.0, math.inf))
-        assert val == pytest.approx(1.0, abs=1e-10)
+        assert _checked_quad(lambda x: math.exp(-x), 0.0, math.inf) == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_gaussian(self):
-        val, _ = integrate_1d(lambda x: normal_pdf(x), (-math.inf, math.inf))
+        val = _checked_quad(lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
+                            -math.inf, math.inf)
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_separable_2d(self):
-        res = integrate_2d(lambda x, y: x * y, (0.0, 1.0), (0.0, 1.0))
-        assert res.value == pytest.approx(0.25, abs=1e-10)
-        assert res.converged
-
     def test_nonconvergence_is_flagged(self):
-        spec = QuadratureSpec(absolute_tolerance=1e-14, relative_tolerance=1e-14,
-                              max_subdivisions=2)
-        res = integrate_1d(lambda x: math.cos(40.0 * x * x), (0.0, 20.0), spec)
-        assert not res.converged
-        with pytest.raises(NonConvergedError):
-            integrate_1d_checked(lambda x: math.cos(40.0 * x * x), (0.0, 20.0), spec)
-
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(absolute_tolerance=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(transform="sinh")
-
-    def test_explicit_transforms(self):
-        spec = QuadratureSpec(transform="semi-infinite-log")
-        val, _ = integrate_1d(lambda x: x * math.exp(-x), (0.0, math.inf), spec)
-        assert val == pytest.approx(1.0, abs=1e-9)
-        spec = QuadratureSpec(transform="infinite-atan")
-        val, _ = integrate_1d(lambda x: 1 / (math.pi * (1 + x * x)),
-                              (-math.inf, math.inf), spec)
-        assert val == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(NonConvergedError) as info:
+            _checked_quad(lambda x: math.cos(40.0 * x * x), 0.0, 20.0, limit=2)
+        assert info.value.error_estimate > 1e-12 * abs(info.value.value)
 
 
 class TestRngStream:

@@ -24,6 +24,11 @@ class TestScenarioSpec:
         with pytest.raises(DomainError):
             ScenarioSpec(1, 0)
 
+    @pytest.mark.parametrize("pi_h", [0.0, -0.1, 1.5, np.nan, np.inf])
+    def test_rejects_bad_pi_h(self, pi_h):
+        with pytest.raises(DomainError, match=r"pi_h must lie in \(0, 1\]"):
+            ScenarioSpec(1, 2, pi_h=pi_h)
+
     def test_streams_differ_by_cell(self):
         a = ScenarioSpec(1, 3, seed=SEED).stream(0).standard_normal(5)
         b = ScenarioSpec(1, 4, seed=SEED).stream(0).standard_normal(5)
@@ -105,6 +110,11 @@ class TestLargescale:
         with pytest.raises(DomainError):
             run_largescale(0, 0)
 
+    @pytest.mark.parametrize("pi_h", [0.0, 1.5, np.nan, np.inf])
+    def test_rejects_bad_pi_h(self, pi_h):
+        with pytest.raises(DomainError, match=r"pi_h must lie in \(0, 1\]"):
+            run_largescale(9, 1, pi_values=(1.0, pi_h))
+
 
 class TestSensitivity:
     def test_null_probabilities(self):
@@ -125,3 +135,8 @@ class TestSensitivity:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             sensitivity_curves(0, [0.1])
+
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf])
+    def test_rejects_nonfinite_mean(self, ratio):
+        with pytest.raises(DomainError, match="finite ncp"):
+            sensitivity_curves(10, [ratio])
