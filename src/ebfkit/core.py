@@ -183,6 +183,11 @@ class BiasValue:
     achieved_error: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError(f"expected bias must be finite, got {self.value!r}")
+        if not 0.0 <= self.achieved_error < math.inf:
+            raise DomainError("achieved error must be finite and nonnegative, "
+                              f"got {self.achieved_error!r}")
         if self.value < -1e-12:
             raise DomainError("expected bias is nonnegative for these families")
         if self.provenance not in ("closed-form", "exact-sum", "quadrature"):

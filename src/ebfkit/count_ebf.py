@@ -3,11 +3,20 @@
 Both models share a Beta(alpha, alpha) prior on the success probability;
 alpha defaults to 1, the uniform choice whose prior predictive over the
 binomial count is itself uniform.  Posterior marginal likelihoods are exact
-ratios of beta functions.  The expected bias is an exact double sum over
-the joint prior predictive of an observed and a replicate count: finite for
-the binomial, and for the negative binomial an infinite lattice that
-factorizes into three one-dimensional series summed with explicit
-truncation control.
+ratios of region-restricted Beta normalisers
+
+    Z_H(s, f) = B(s + alpha, f + alpha) * P_H[Beta(s + alpha, f + alpha)].
+
+The expected bias is a double sum over the symmetric joint prior
+predictive of an observed and a replicate count, in which the posterior's
+-log Z_H(x, f) and the borrowed prior's +log Z_H(y, f_y) cancel, so for
+both models
+
+    bias = E[log Z_H(2X, 2F)] - E[log Z_H(X + Y, F_X + F_Y)]:
+
+two finite sums for the binomial, two series over failure counts with
+explicit truncation control for the negative binomial (or, for regions
+excluding p = 0, the lattice summed directly).
 
 The factor generally differs between the two sampling models at the same
 (x, n); when the sampling scheme is uncertain, averaging the corrected
@@ -100,7 +109,7 @@ def _log_region_mass(region: HypothesisRegion, a, b, strict=True):
     catastrophically, so the mass is also formed from the survival side
     (I_x(a, b) = 1 - I_{1-x}(b, a)) and the better-conditioned value wins.
     With strict=False an underflowing mass becomes -inf instead of raising,
-    for series whose terms cancel the divergence pairwise.
+    for the lattice sums, which deal with non-finite terms themselves.
     """
     lo, hi = region.bounds(_DOMAIN)
     cdf_mass = beta_cdf(hi, a, b) - beta_cdf(lo, a, b)
@@ -110,6 +119,11 @@ def _log_region_mass(region: HypothesisRegion, a, b, strict=True):
         raise DegenerateRegionError("region mass underflows to zero")
     with np.errstate(divide="ignore"):
         return np.log(mass)
+
+
+def _log_normaliser(region: HypothesisRegion, s, f, a, strict=True):
+    """log Z_H(s, f): the Beta(s + a, f + a) normaliser restricted to the region."""
+    return log_beta(s + a, f + a) + _log_region_mass(region, s + a, f + a, strict)
 
 
 def _log_point_pmf(data: CountData, p0: float) -> float:
@@ -129,10 +143,8 @@ def _posterior_marginal(data: CountData, region: HypothesisRegion) -> LogMargina
     if region.is_point():
         return LogMarginal(_log_point_pmf(data, region.a), data.model)
     lc = _log_choose(n, x) if data.model == BINOMIAL else _log_choose(n - 1, x - 1)
-    log_value = (lc
-                 + log_beta(2 * x + a, 2 * f + a) - log_beta(x + a, f + a)
-                 + _log_region_mass(region, 2 * x + a, 2 * f + a)
-                 - _log_region_mass(region, x + a, f + a))
+    log_value = (lc + _log_normaliser(region, 2 * x, 2 * f, a)
+                 - _log_normaliser(region, x, f, a))
     return LogMarginal(float(log_value), data.model)
 
 
@@ -153,12 +165,24 @@ def negbinom_posterior_marginal(data: CountData, region: HypothesisRegion) -> Lo
 
 # --------------------------------------------------------------------- bias
 
+def _beta_binomial(n, a):
+    """Counts 0..n and their beta-binomial(n, a, a) probabilities, normalised
+    by their own float sum so that they add to one to rounding."""
+    k = np.arange(n + 1, dtype=float)
+    log_w = _log_choose(n, k) + log_beta(k + a, n - k + a)
+    w = np.exp(log_w - log_w.max())
+    return k, w / w.sum()
+
+
 def binom_expected_bias(n: int, region: HypothesisRegion | None = None,
                         alpha: float = 1.0) -> BiasValue:
     """Exact expected bias for n binomial trials, restricted to a region.
 
-    A finite double sum over the joint prior predictive of the observed and
-    replicate counts; exact up to floating-point rounding.
+    bias = E[log Z_H(2X, 2n - 2X)] - E[log Z_H(S, 2n - S)], where the
+    observed count X is beta-binomial(n, alpha, alpha) and, by Vandermonde,
+    the pooled count S = X + Y of observed and replicate is
+    beta-binomial(2n, alpha, alpha).  Two one-dimensional sums of n + 1 and
+    2n + 1 terms; exact up to floating-point rounding.
     """
     _check_count("n", n)
     _check_alpha(alpha)
@@ -166,50 +190,26 @@ def binom_expected_bias(n: int, region: HypothesisRegion | None = None,
     if region.is_point():
         return BiasValue.zero()
 
-    x = np.arange(n + 1, dtype=float)
-    f = n - x
-    lc = _log_choose(n, x)
-    a = alpha
-    log_own = (log_beta(2 * x + a, 2 * f + a) - log_beta(x + a, f + a)
-               + _log_region_mass(region, 2 * x + a, 2 * f + a)
-               - _log_region_mass(region, x + a, f + a))
-    # cross terms: prior taken from the replicate count y
-    sx = x[:, None] + x[None, :]
-    sf = f[:, None] + f[None, :]
-    log_cross = (log_beta(sx + a, sf + a) - log_beta(x[None, :] + a, f[None, :] + a)
-                 + _log_region_mass(region, sx + a, sf + a)
-                 - _log_region_mass(region, x[None, :] + a, f[None, :] + a))
-    log_pr = (lc[:, None] + lc[None, :]
-              + log_beta(sx + a, sf + a) - log_beta(a, a))
-    value = float(np.sum(np.exp(log_pr) * (log_own[:, None] - log_cross)))
-    return BiasValue(value, "exact-sum")
+    x, p_x = _beta_binomial(n, alpha)
+    s, p_s = _beta_binomial(2 * n, alpha)
+    own = p_x @ _log_normaliser(region, 2 * x, 2 * (n - x), alpha)
+    cross = p_s @ _log_normaliser(region, s, 2 * n - s, alpha)
+    return BiasValue(float(own - cross), "exact-sum")
 
 
 def _negbinom_series_terms(x: int, alpha: float, region: HypothesisRegion,
-                           n_from: int, n_to: int):
-    """Per-failure-count pieces of the three negative-binomial bias series.
-
-    Returns (single-draw predictive, own-vs-posterior term a, cross prior
-    term c, double-successes predictive q, coupling term g) for failure
-    counts n_from..n_to-1.
+                           fgrid):
+    """Per-failure-count pieces of the negative-binomial bias series:
+    (single-draw predictive, log Z_H(2x, 2f), predictive of the failure
+    total of two draws, log Z_H(2x, f)), with -inf where a mass underflows.
     """
     a = alpha
-    fgrid = np.arange(n_from, n_to, dtype=float)
     lpr1 = (_log_choose(fgrid + x - 1, x - 1.0)
             + log_beta(x + a, fgrid + a) - log_beta(a, a))
-    # -inf - -inf = nan where both region masses underflow; the caller
-    # truncates at the first non-finite combined term
-    with np.errstate(invalid="ignore"):
-        term_a = (log_beta(2 * x + a, 2 * fgrid + a) - log_beta(x + a, fgrid + a)
-                  + _log_region_mass(region, 2 * x + a, 2 * fgrid + a, strict=False)
-                  - _log_region_mass(region, x + a, fgrid + a, strict=False))
-        term_c = (log_beta(x + a, fgrid + a)
-                  + _log_region_mass(region, x + a, fgrid + a, strict=False))
-        lq2 = (_log_choose(fgrid + 2 * x - 1, 2 * x - 1.0)
-               + log_beta(2 * x + a, fgrid + a) - log_beta(a, a))
-        term_g = (log_beta(2 * x + a, fgrid + a)
-                  + _log_region_mass(region, 2 * x + a, fgrid + a, strict=False))
-    return np.exp(lpr1), term_a, term_c, np.exp(lq2), term_g
+    lq2 = (_log_choose(fgrid + 2 * x - 1, 2 * x - 1.0)
+           + log_beta(2 * x + a, fgrid + a) - log_beta(a, a))
+    return (np.exp(lpr1), _log_normaliser(region, 2 * x, 2 * fgrid, a, strict=False),
+            np.exp(lq2), _log_normaliser(region, 2 * x, fgrid, a, strict=False))
 
 
 def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
@@ -245,12 +245,13 @@ def _negbinom_bias(x, region, alpha, tail_mass_tol, remainder_tol, max_terms):
 
 def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
                           max_terms):
-    """Three-series route: the coupling term collapses over the failure
-    total (Vandermonde), leaving one-dimensional sums whose combined
-    summand decays like (a + b log f)/f^2.  Each geometric block fits that
-    shape and adds the analytic tail integral; convergence is declared when
-    the tail-corrected total stabilizes (or the raw predictive tail mass
-    vanishes, for fast-decaying priors)."""
+    """Series route: the pooled term collapses over the failure total
+    (Vandermonde), leaving two one-dimensional sums whose combined summand
+    decays like (a + b log f)/f^2.  Each geometric block fits that shape and
+    adds the analytic tail integral; convergence is declared when the
+    tail-corrected total stabilizes (or the raw predictive tail mass
+    vanishes, for fast-decaying priors).  A block in which a region mass
+    underflows raises at once."""
     total = 0.0
     mass1 = mass2 = 0.0
     n_from, block = 0, 4096
@@ -260,8 +261,12 @@ def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
     while n_from < max_terms:
         n_to = min(n_from + block, max_terms)
         fgrid = np.arange(n_from, n_to, dtype=float)
-        pr1, ta, tc, q2, tg = _negbinom_series_terms(x, alpha, region, n_from, n_to)
-        combined = pr1 * (ta + tc) - q2 * tg
+        pr1, own, q2, pooled = _negbinom_series_terms(x, alpha, region, fgrid)
+        with np.errstate(invalid="ignore"):
+            combined = pr1 * own - q2 * pooled
+        if not np.isfinite(combined).all():
+            raise DegenerateRegionError(
+                f"region mass underflows to zero at failure counts below {n_to}")
         total += float(combined.sum())
         mass1 += float(pr1.sum())
         mass2 += float(q2.sum())
@@ -305,11 +310,8 @@ def _negbinom_bias_box(x, region, alpha, remainder_tol, max_n=4096):
     def box_sum(n):
         f = np.arange(n, dtype=float)
         with np.errstate(invalid="ignore"):
-            own = (log_beta(2 * x + a, 2 * f + a) - log_beta(x + a, f + a)
-                   + _log_region_mass(region, 2 * x + a, 2 * f + a, strict=False)
-                   - _log_region_mass(region, x + a, f + a, strict=False))
-            cross_col = (log_beta(x + a, f + a)
-                         + _log_region_mass(region, x + a, f + a, strict=False))
+            cross_col = _log_normaliser(region, x, f, a, strict=False)
+            own = _log_normaliser(region, 2 * x, 2 * f, a, strict=False) - cross_col
         total = 0.0
         covered = 0.0
         for i0 in range(0, n, 256):
@@ -321,9 +323,7 @@ def _negbinom_bias_box(x, region, alpha, remainder_tol, max_n=4096):
                      + log_beta(2 * x + a, s + a) - log_beta(a, a))
             with np.errstate(invalid="ignore"):
                 d_h = (own[i0:i0 + 256, None]
-                       - (log_beta(2 * x + a, s + a)
-                          + _log_region_mass(region, 2 * x + a, s + a,
-                                             strict=False))
+                       - _log_normaliser(region, 2 * x, s, a, strict=False)
                        + cross_col[None, :])
             w = np.exp(log_w)
             ok = np.isfinite(d_h)
@@ -353,8 +353,6 @@ def _negbinom_bias_box(x, region, alpha, remainder_tol, max_n=4096):
 # ----------------------------------------------------------------- factors
 
 def _expected_bias_for(data: CountData, region: HypothesisRegion) -> BiasValue:
-    if region.is_point():
-        return BiasValue.zero()
     if data.model == BINOMIAL:
         return binom_expected_bias(data.trials, region, data.alpha)
     return negbinom_expected_bias(data.successes, region, data.alpha)

@@ -143,6 +143,8 @@ def run_largescale(m0: int, m1: int, seed: int = 2024,
     """
     if m0 < 0 or m1 < 0 or m0 + m1 < 1:
         raise DomainError("need at least one test")
+    if len(pi_values) == 0:
+        raise DomainError("pi_values needs at least one prior probability")
     for pi in pi_values:
         _check_pi_h(pi)
     m = m0 + m1

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.special import ndtr
 from scipy.stats import spearmanr
 

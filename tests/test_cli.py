@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ebfkit.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
+from ebfkit.cli import EXIT_OK, EXIT_USAGE, main
 from ebfkit.core import HypothesisRegion
 from ebfkit.multitest import MultiTestBatch, multi_ebf
 from ebfkit.normal_ebf import ebf_interval, ebf_two_sided

@@ -79,6 +79,16 @@ class TestBiasValue:
         with pytest.raises(DomainError):
             BiasValue(0.1, "guesswork")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_value(self, value):
+        with pytest.raises(DomainError, match="^expected bias must be finite"):
+            BiasValue(value, "exact-sum")
+
+    @pytest.mark.parametrize("err", [math.nan, math.inf, -1e-9])
+    def test_rejects_bad_achieved_error(self, err):
+        with pytest.raises(DomainError, match="^achieved error must be finite"):
+            BiasValue(0.1, "quadrature", achieved_error=err)
+
 
 class TestLogMarginal:
     def test_correct_applies_bias(self):

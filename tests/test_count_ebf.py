@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import betainc, betaln, gammaln
 
 from ebfkit.core import HypothesisRegion, LogMarginal, BiasValue
 from ebfkit.count_ebf import (
@@ -15,13 +16,12 @@ from ebfkit.count_ebf import (
     binom_expected_bias,
     binom_posterior_marginal,
     ebf_binom,
-    ebf_count,
     ebf_negbinom,
     model_average,
     negbinom_expected_bias,
     negbinom_posterior_marginal,
 )
-from ebfkit.exceptions import DomainError
+from ebfkit.exceptions import DegenerateRegionError, DomainError
 from ebfkit.core import make_report
 
 FULL = HypothesisRegion.full()
@@ -29,6 +29,38 @@ HALF = HypothesisRegion.point(0.5)
 
 BIAS_TARGETS = {1: 0.231, 2: 0.316, 3: 0.360, 4: 0.387, 5: 0.405,
               6: 0.418, 7: 0.428, 8: 0.436, 9: 0.442, 10: 0.447}
+
+
+REGIONS = {
+    "full": FULL,
+    "above:0.5": HypothesisRegion.above(0.5),
+    "below:0.3": HypothesisRegion.below(0.3),
+    "interval:0.2,0.6": HypothesisRegion.interval(0.2, 0.6),
+    "interval:0.45,0.55": HypothesisRegion.interval(0.45, 0.55),
+}
+
+
+def _binom_bias_double_sum(n, region, alpha):
+    """The expected bias written out as the double sum over the joint prior
+    predictive of observed x and replicate y, own term minus the term whose
+    prior is the replicate's posterior, from scipy's special functions."""
+    lo, hi = region.bounds((0.0, 1.0))
+
+    def log_z(s, f):
+        a, b = s + alpha, f + alpha
+        mass = np.maximum(betainc(a, b, hi) - betainc(a, b, lo),
+                          betainc(b, a, 1.0 - lo) - betainc(b, a, 1.0 - hi))
+        return betaln(a, b) + np.log(mass)
+
+    x = np.arange(n + 1, dtype=float)
+    f = n - x
+    lc = gammaln(n + 1.0) - gammaln(x + 1.0) - gammaln(f + 1.0)
+    sx, sf = x[:, None] + x[None, :], f[:, None] + f[None, :]
+    weight = np.exp(lc[:, None] + lc[None, :] + betaln(sx + alpha, sf + alpha)
+                    - betaln(alpha, alpha))
+    own = log_z(2 * x, 2 * f) - log_z(x, f)
+    cross = log_z(sx, sf) - log_z(x, f)[None, :]
+    return float(np.sum(weight * (own[:, None] - cross)))
 
 
 def _frac_beta(a: int, b: int) -> Fraction:
@@ -131,6 +163,33 @@ class TestBinomialBias:
         b = binom_expected_bias(6, HypothesisRegion.above(0.7))
         assert a.value == pytest.approx(b.value, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("region", list(REGIONS), ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 200])
+    def test_regions_against_double_sum(self, n, region, alpha):
+        """The two one-dimensional sums equal the full double sum."""
+        got = binom_expected_bias(n, REGIONS[region], alpha)
+        expect = _binom_bias_double_sum(n, REGIONS[region], alpha)
+        assert got.value == pytest.approx(expect, abs=1e-12 if n <= 30 else 1e-10)
+
+    def test_large_n_against_double_sum(self):
+        got = binom_expected_bias(1000)
+        assert got.value == pytest.approx(_binom_bias_double_sum(1000, FULL, 1.0),
+                                          abs=1e-10)
+
+    def test_memory_linear_in_n(self):
+        """No n x n array: the traced peak at n = 1000 stays under 1 MB
+        (the double sum needs tens of MB)."""
+        import tracemalloc
+        binom_expected_bias(1000)
+        tracemalloc.start()
+        try:
+            binom_expected_bias(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_prior_predictive_uniform(self):
         """With alpha = 1 the joint predictive row sums are 1/(n+1)."""
         from ebfkit.numerics import log_beta, log_gamma
@@ -218,6 +277,21 @@ class TestNegativeBinomial:
         from ebfkit.exceptions import NonConvergedError
         with pytest.raises(NonConvergedError):
             negbinom_expected_bias(2, max_terms=64, remainder_tol=1e-12)
+
+    @pytest.mark.parametrize("x, region, value", [
+        (1, FULL, 0.31644255059117),
+        (3, HypothesisRegion.below(0.3), 0.11631808703804061),
+    ])
+    def test_series_values_frozen(self, x, region, value):
+        """Pinned values of the series with its own and cross terms summed
+        separately; they cancel analytically and must not move the result."""
+        assert negbinom_expected_bias(x, region).value == pytest.approx(value, abs=1e-12)
+
+    def test_degenerate_region_fails_fast(self):
+        """The below:0.01 mass underflows at small failure counts for
+        x = 200; that raises at the first block instead of a NaN series."""
+        with pytest.raises(DegenerateRegionError):
+            negbinom_expected_bias(200, HypothesisRegion.below(0.01))
 
     def test_bias_positive_and_below_binomial_scale(self):
         v = negbinom_expected_bias(3)

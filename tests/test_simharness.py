@@ -110,6 +110,10 @@ class TestLargescale:
         with pytest.raises(DomainError):
             run_largescale(0, 0)
 
+    def test_rejects_empty_pi_values(self):
+        with pytest.raises(DomainError, match="^pi_values needs at least one"):
+            run_largescale(9, 1, pi_values=())
+
     @pytest.mark.parametrize("pi_h", [0.0, 1.5, np.nan, np.inf])
     def test_rejects_bad_pi_h(self, pi_h):
         with pytest.raises(DomainError, match=r"pi_h must lie in \(0, 1\]"):
