@@ -33,6 +33,17 @@ in log space, so it stays finite when every test's own region mass is
 below the smallest double.  ``normal_ebf._log_mass`` is the scalar
 reference that ``multitest.cross_marginal`` builds single terms from.
 
+A walk of at least ``_SPLIT_TILES`` tiles is cut into ``_PARTS`` (2)
+contiguous runs of tiles with about equal pair counts.  The calling thread
+walks part 0 while a module-level pool of ``_PARTS - 1`` threads, made on
+the first split, walks the others; numpy's ufuncs and ``ndtr`` release the
+GIL, so the parts run on separate cores.  Each part writes the own terms of
+its own rows and adds into its own cross array, and the caller adds those
+arrays in part order.  The cuts depend on m and the tile size alone, so the
+result is the same bits from run to run, and when a process with one core
+runs the parts in turn in the caller.  A shorter walk is one pass in the
+caller, as before: it starts no thread and imports nothing.
+
 Region encoding: kind 0 point, 1 below (-inf, a), 2 above (a, inf),
 3 interval (a, b), 4 full line.
 """
@@ -40,6 +51,8 @@ Region encoding: kind 0 point, 1 below (-inf, a), 2 above (a, inf),
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -60,6 +73,16 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # with 2 MiB of L2 per core, 2**14 ran a below/above pair at m = 300-4000
 # about 20% faster than 2**16, and 2**20 lost most of the gain of tiling.
 _TILE_ELEMENTS = 1 << 14
+
+# A walk of this many tiles or more is cut into _PARTS parts that run at the
+# same time; see the module docstring.  At the default tile size that is
+# m >= 442.  Batches of up to 300 tests (4 tiles), where a forced split
+# was no faster, stay one pass in the caller; the kernel tests that shrink
+# the tiles to 46 and 16 entries at m = 23 (8 and 18 tiles) split.
+_SPLIT_TILES = 8
+_PARTS = 2
+_pool = _pool_pid = None
+_pool_lock = threading.Lock()
 
 # A row of the linear-domain tile whose scaled sum falls below this has lost
 # its terms to underflow and is recomputed in the log domain.  Only rows
@@ -237,6 +260,82 @@ def _finish(x, var, sd, region, pi_h, own, cross, out):
     out -= top + np.log(den)
 
 
+def _tiles(m):
+    """Row ranges [i0, i1) of the walk's tiles, each of at most
+    ``_TILE_ELEMENTS`` entries of rows i0..i1-1 against columns i0..m-1,
+    or one row."""
+    tiles = []
+    i0 = 0
+    while i0 < m:
+        i1 = min(m, i0 + max(1, _TILE_ELEMENTS // (m - i0)))
+        tiles.append((i0, i1))
+        i0 = i1
+    return tiles
+
+
+def _parts(m, tiles):
+    """The tiles cut into ``_PARTS`` contiguous runs of about equal pair
+    counts; the cuts depend on m and the tile size alone."""
+    pairs = np.cumsum([(i1 - i0) * (m - i0) for i0, i1 in tiles])
+    cuts = np.searchsorted(pairs, pairs[-1] * np.arange(1, _PARTS) / _PARTS) + 1
+    return [tiles[c0:c1] for c0, c1 in zip([0, *cuts], [*cuts, len(tiles)])]
+
+
+def _cores():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split_pool():
+    """The module's pool of ``_PARTS - 1`` threads, made on first use and
+    again in a forked child, whose copy has no threads behind it."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool is None or _pool_pid != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_PARTS - 1, thread_name_prefix="ebfkit-walk")
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _walk_tiles(x, sd, var, bounds, complementary, tiles, own, cross):
+    for i0, i1 in tiles:
+        # a temporary, so that a part never holds two tiles at once
+        _accumulate(_pair_terms(x, sd, var, bounds, complementary, i0, i1),
+                    own, cross, i0, i1)
+
+
+def _walk_parts(x, sd, var, bounds, complementary, parts, own):
+    """Each part's cross sums, in part order.  Parts write ``own`` on their
+    own rows only.  The caller runs part 0 and the pool the others, at the
+    same time; a lone part, or a process with one core, runs in the caller
+    alone, with the same sums."""
+    crosses = [np.zeros_like(own) for _ in parts]
+    args = [(x, sd, var, bounds, complementary, part, own, cross)
+            for part, cross in zip(parts, crosses)]
+    if len(args) == 1 or _cores() < 2:
+        for a in args:
+            _walk_tiles(*a)
+        return crosses
+    import contextvars
+    from concurrent.futures import wait
+    pool = _split_pool()
+    # each worker part runs in a copy of the caller's context, so numpy's
+    # error state is the caller's in every part
+    futures = [pool.submit(contextvars.copy_context().run, _walk_tiles, *a)
+               for a in args[1:]]
+    try:
+        _walk_tiles(*args[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()  # a part's exception reaches the caller
+    return crosses
+
+
 def _mixture_walk(x, var, regions, pi_h, outs):
     """Log marginals of one or two non-point regions, each (kind, a, b,
     own_bias), from one walk over the upper triangle of pairs.
@@ -244,7 +343,9 @@ def _mixture_walk(x, var, regions, pi_h, outs):
     The walk goes in tiles of rows i0..i1-1 against columns i0..m-1, and
     every region's terms in a tile share its Gaussian factor.  The own
     terms are taken off the diagonal before summing, so each region's
-    weights can be applied to its two sums afterwards.
+    weights can be applied to its two sums afterwards.  A walk of at least
+    ``_SPLIT_TILES`` tiles runs in fixed parts at the same time, whose
+    cross sums are added in part order.
     """
     m = x.shape[0]
     sd = np.sqrt(var)
@@ -253,14 +354,11 @@ def _mixture_walk(x, var, regions, pi_h, outs):
                      and {regions[0][0], regions[1][0]} == {KIND_BELOW, KIND_ABOVE}
                      and regions[0][1] == regions[1][1])
     own = np.empty((len(regions), m))
-    cross = np.zeros((len(regions), m))
-    i0 = 0
-    while i0 < m:
-        i1 = min(m, i0 + max(1, _TILE_ELEMENTS // (m - i0)))
-        # a temporary, so that two tiles are never alive at once
-        _accumulate(_pair_terms(x, sd, var, bounds, complementary, i0, i1),
-                    own, cross, i0, i1)
-        i0 = i1
+    tiles = _tiles(m)
+    parts = [tiles] if len(tiles) < _SPLIT_TILES else _parts(m, tiles)
+    cross, *rest = _walk_parts(x, sd, var, bounds, complementary, parts, own)
+    for part in rest:
+        cross += part
     for k, region in enumerate(regions):
         _finish(x, var, sd, region, pi_h, own[k], cross[k], outs[k])
 

@@ -18,6 +18,7 @@ read as an indicative measure of evidence, not an exact one.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -111,8 +112,10 @@ def pvalue_expected_bias(beta: float, n_nodes: int = 160) -> BiasValue:
     square, and the inner integrals have closed forms.  The achieved error
     is estimated by doubling the node count.
     """
-    if beta <= 1.0:
-        raise DomainError("alternative shape must satisfy beta > 1")
+    if not (math.isfinite(beta) and beta > 1.0):
+        raise DomainError(f"alternative shape beta must be finite and > 1, got {beta!r}")
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+        raise DomainError(f"n_nodes must be a positive integer, got {n_nodes!r}")
 
     def estimate(n):
         x, w = roots_legendre(n)

@@ -156,12 +156,12 @@ def run_largescale(m0: int, m1: int, seed: int = 2024,
     # single-test two-sided factor against the point null, unit variance
     single = -(0.5 * math.log(2.0) - 0.5 * (x * x - 1.0))
 
-    multi = {}
-    for pi in pi_values:
-        logm1 = _kernels.replicate_mixture_log_marginals(
-            x[None, :], x[None, :], 1.0, pi, -_FULL_LINE_BIAS)[0]
-        logm0 = -0.5 * (x * x + math.log(2.0 * math.pi))
-        multi[pi] = logm1 - logm0
+    # one replicate with unit variances is the batch kernel's full-line walk
+    ones = np.ones(m)
+    logm0 = -0.5 * (x * x + math.log(2.0 * math.pi))
+    multi = {pi: _kernels.mixture_log_marginals(x, ones, _kernels.KIND_FULL, None, None,
+                                                pi, _FULL_LINE_BIAS) - logm0
+             for pi in pi_values}
 
     def mean_rank(score):
         order = np.argsort(-score, kind="stable")

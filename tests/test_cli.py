@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,12 @@ class TestBiasCommand:
                                 "--d2", "0"], capsys)
         assert parse_json(out)[0]["value"] == 0.25
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_pvalue_nonfinite_beta_is_usage_error(self, capsys, beta):
+        code, _, err = run_cli(["bias", "--family", "pvalue", "--beta", beta], capsys)
+        assert code == EXIT_USAGE
+        assert "beta" in err
+
 
 class TestMultiCommand:
     def _write_batch(self, tmp_path):
@@ -145,6 +155,29 @@ class TestMultiCommand:
         code, _, err = run_cli(["multi", "--input", str(path)], capsys)
         assert code == EXIT_USAGE
         assert "id,estimate,se" in err
+
+
+def test_small_multi_batch_starts_no_thread(tmp_path):
+    """A cold ``ebfkit multi`` on 50 tests walks its pairs unsplit: it
+    loads no thread pool and leaves the process with one thread."""
+    rng = np.random.default_rng(4)
+    path = tmp_path / "batch.csv"
+    path.write_text("id,estimate,se\n" + "".join(
+        f"t{i},{float(z)!r},1.0\n" for i, z in enumerate(2.0 * rng.standard_normal(50))))
+    code = (
+        "import sys, threading\n"
+        "import ebfkit.cli as cli\n"
+        f"assert cli.main(['multi', '--input', {str(path)!r}, '--h0', 'below:0',\n"
+        "                  '--h1', 'above:0', '--ranked']) == 0\n"
+        "assert 'concurrent.futures.thread' not in sys.modules\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert len(json.loads(proc.stdout)["records"]) == 50
 
 
 def _reject_constant(name):

@@ -1,6 +1,11 @@
 """The tiled mixture kernel against the scalar cross_marginal oracle."""
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -25,25 +30,41 @@ REGIONS = [
 OWN_BIAS = 0.35
 
 
-def _oracle_row(batch, region, own_bias):
+def _oracle_row(batch, region, own_bias, rows=None):
     """Each test's log mixture marginal assembled term by term: the own
-    term and the pi_h-weighted cross_marginal terms over the masses."""
+    term and the pi_h-weighted cross_marginal terms over the masses; only
+    the tests ``rows`` if given."""
     x, se = batch.estimates, batch.standard_errors
     if region.kind == "point":
         return norm.logpdf(x, region.a, se)
     m, pi_h = batch.size, batch.pi_h
+    rows = range(m) if rows is None else rows
     mass = np.exp([_log_mass(region, x[j], se[j]) for j in range(m)])
     own_log_pdf = norm.logpdf(x, x, math.sqrt(2.0) * se)
-    out = np.empty(m)
-    for i in range(m):
+    out = np.empty(len(rows))
+    for k, i in enumerate(rows):
         own = (own_log_pdf[i]
                + _log_mass(region, x[i], se[i] / math.sqrt(2.0))
                - own_bias)
         cross = [math.log(pi_h) + cross_marginal(batch, i, j, region)
                  for j in range(m) if j != i]
         den = mass[i] + pi_h * (mass.sum() - mass[i])
-        out[i] = logsumexp([own] + cross) - math.log(den)
+        out[k] = logsumexp([own] + cross) - math.log(den)
     return out
+
+
+def _spy_splits(monkeypatch):
+    """The number of parts of each walk, as a list that fills as the
+    kernel runs."""
+    splits = []
+    walk_parts = K._walk_parts
+
+    def spy(*args):
+        splits.append(len(args[5]))
+        return walk_parts(*args)
+
+    monkeypatch.setattr(K, "_walk_parts", spy)
+    return splits
 
 
 def _kernel_row(batch, region, own_bias):
@@ -72,9 +93,12 @@ class TestMixtureAgainstCrossMarginal:
             1.5 * rng.standard_normal(23), np.exp(0.4 * rng.standard_normal(23)),
             region, region, pi_h=pi_h)
         monkeypatch.setattr(K, "_TILE_ELEMENTS", tile)
+        splits = _spy_splits(monkeypatch)
         np.testing.assert_allclose(_kernel_row(batch, region, OWN_BIAS),
                                    _oracle_row(batch, region, OWN_BIAS),
                                    rtol=1e-10, atol=1e-10)
+        # the patched tiles split the walk into parts; one tile does not
+        assert splits == ([] if region.kind == "point" else [2] if tile in (16, 46) else [1])
 
 
 def test_memory_stays_within_tiles():
@@ -274,9 +298,12 @@ def test_paired_walk_equals_two_walks(h0, h1, pi_h, tile, monkeypatch):
     se = np.exp(0.4 * rng.standard_normal(23))
     x = 1.5 * rng.standard_normal(23) * se
     monkeypatch.setattr(K, "_TILE_ELEMENTS", tile)
+    splits = _spy_splits(monkeypatch)
     paired, single = _paired_and_single(x, se, h0, h1, pi_h)
     for got, want in zip(paired, single):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # one paired walk and two single ones, each split unless in one tile
+    assert splits == [2 if tile in (16, 46) else 1] * 3
 
 
 # Rows at +-40 standard errors: the far side of each pair is beyond the
@@ -306,3 +333,156 @@ def test_paired_walk_fallback_rows(a, flip, pi_h, monkeypatch):
     _, single = _paired_and_single(x, se, h0, h1, pi_h)
     for got, want in zip(paired, single):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------- split walk
+# A walk of at least K._SPLIT_TILES tiles runs in fixed parts at the same
+# time: the caller runs part 0 and a pool thread the other.
+
+def _batch(m, seed):
+    rng = np.random.default_rng(seed)
+    se = np.exp(rng.normal(0.0, 0.4, m))
+    mu = np.where(rng.uniform(size=m) < 0.2, rng.normal(0.0, 3.0, m), 0.0)
+    return mu + se * rng.standard_normal(m), se
+
+
+SPLIT_CASES = [  # (m, h0, h1) of the benchmark's typical and large batches
+    (1000, HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)),
+    (2000, HypothesisRegion.interval(-0.5, 0.5), HypothesisRegion.full()),
+]
+
+
+def _paired(x, se, h0, h1, pi_h):
+    return K.paired_mixture_log_marginals(x, se, (*_region_args(h0), 0.35),
+                                          (*_region_args(h1), 0.1), pi_h)
+
+
+def test_split_threshold():
+    """The benchmark's m = 300 batch and the CLI's batches of up to 200
+    tests walk unsplit; m = 1000 splits into parts of about equal pairs."""
+    assert len(K._tiles(200)) < len(K._tiles(300)) < K._SPLIT_TILES
+    tiles = K._tiles(1000)
+    parts = K._parts(1000, tiles)
+    assert len(tiles) >= K._SPLIT_TILES and len(parts) == K._PARTS == 2
+    assert [t for part in parts for t in part] == tiles
+    pairs = [sum((i1 - i0) * (1000 - i0) for i0, i1 in part) for part in parts]
+    assert abs(pairs[0] - pairs[1]) < 2 * K._TILE_ELEMENTS
+
+
+@pytest.mark.parametrize("m, h0, h1", SPLIT_CASES, ids=["m1000-below/above",
+                                                       "m2000-interval/full"])
+@pytest.mark.parametrize("pi_h", [1.0, 0.1])
+def test_split_rows_against_cross_marginal(m, h0, h1, pi_h, monkeypatch):
+    """Sampled rows of split walks against the scalar term-by-term sum."""
+    x, se = _batch(m, 11)
+    splits = _spy_splits(monkeypatch)
+    got = _paired(x, se, h0, h1, pi_h)
+    assert splits == [2]
+    batch = MultiTestBatch.from_arrays(x, se, h0, h1, pi_h=pi_h)
+    rows = np.random.default_rng(m).choice(m, size=3, replace=False)
+    for region, own_bias, row in zip((h0, h1), (0.35, 0.1), got):
+        np.testing.assert_allclose(row[rows], _oracle_row(batch, region, own_bias, rows),
+                                   rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("m, h0, h1", SPLIT_CASES[:1] + [
+    (1500, HypothesisRegion.point(0.0), HypothesisRegion.full())], ids=["pair", "single"])
+def test_split_is_bit_identical(m, h0, h1, monkeypatch):
+    """The same bits on every call, whether the parts run at the same time
+    or in turn in the caller on one core."""
+    x, se = _batch(m, 5)
+    first = _paired(x, se, h0, h1, 0.1)
+    for cores in (2, 2, 1):
+        monkeypatch.setattr(K, "_cores", lambda cores=cores: cores)
+        for got, want in zip(_paired(x, se, h0, h1, 0.1), first):
+            assert np.array_equal(got, want)
+
+
+def test_one_core_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(K, "_cores", lambda: 1)
+    monkeypatch.setattr(K, "_split_pool", None)  # called, it would raise
+    x, se = _batch(1000, 5)
+    _paired(x, se, *SPLIT_CASES[0][1:], 1.0)
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    monkeypatch.setattr(K, "_cores", lambda: 2)
+    walk_tiles = K._walk_tiles
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("in a worker's part")
+        return walk_tiles(*args)
+
+    monkeypatch.setattr(K, "_walk_tiles", failing)
+    x, se = _batch(1000, 5)
+    with pytest.raises(FloatingPointError, match="in a worker's part"):
+        _paired(x, se, *SPLIT_CASES[0][1:], 1.0)
+    monkeypatch.setattr(K, "_walk_tiles", walk_tiles)
+    assert np.all(np.isfinite(_paired(x, se, *SPLIT_CASES[0][1:], 1.0)))
+
+
+def test_worker_part_keeps_callers_error_state(monkeypatch):
+    """Only the worker's part underflows here: its rows hold two clusters
+    80 apart (exp(-1600) is 0), while part 0's rows sit halfway between
+    them.  Under the caller's errstate the underflow raises."""
+    monkeypatch.setattr(K, "_cores", lambda: 2)
+    x = np.zeros(1000)
+    start = K._parts(1000, K._tiles(1000))[1][0][0]
+    x[start:] = np.resize([-40.0, 40.0], 1000 - start)
+    ones = np.ones(1000)
+    assert np.all(np.isfinite(K.mixture_log_marginals(x, ones, K.KIND_FULL, None, None,
+                                                      1.0, 0.5)))
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        K.mixture_log_marginals(x, ones, K.KIND_FULL, None, None, 1.0, 0.5)
+
+
+def test_concurrent_callers_get_their_own_bits():
+    """Callers on more threads than cores split their walks at once and
+    share the one pool thread; each gets the bits of a lone call."""
+    cases = [_batch(m, seed) for m, seed in ((1000, 1), (700, 2), (1200, 3), (900, 4))]
+    h0, h1 = SPLIT_CASES[0][1:]
+    want = [_paired(x, se, h0, h1, 0.1) for x, se in cases]
+    got = [None] * len(cases)
+
+    def run(k):
+        for _ in range(3):
+            got[k] = _paired(*cases[k], h0, h1, 0.1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_with_its_own_pool():
+    """A child forked after a split has a copy of the pool with no thread
+    behind it; its own split walks make a new pool instead of waiting."""
+    x, se = _batch(1000, 5)
+    h0, h1 = SPLIT_CASES[0][1:]
+    want = _paired(x, se, h0, h1, 0.1)  # the parent's pool now exists
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit status only
+        try:
+            got = _paired(x, se, h0, h1, 0.1)
+            os._exit(0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's split walk did not finish in 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0

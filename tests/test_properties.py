@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ebfkit.core import HypothesisRegion
 from ebfkit.multitest import MultiTestBatch, multi_ebf
-from ebfkit.normal_ebf import ebf_interval
+from ebfkit.normal_ebf import ebf_chi_squared, ebf_interval, ebf_two_sided
 
 _bound = st.floats(-3.0, 3.0)
 _width = st.floats(0.01, 4.0)
@@ -78,3 +78,28 @@ def test_ebf_interval_is_scale_free(z, se, h0, h1, c):
     want = ebf_interval(z * se, se, h0, h1).ebf01_log
     got = ebf_interval(c * z * se, c * se, _scaled(h0, c), _scaled(h1, c)).ebf01_log
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+_abs_z = st.floats(0.0, 30.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_abs_z, b=_abs_z, sign_a=st.sampled_from([1.0, -1.0]),
+       sign_b=st.sampled_from([1.0, -1.0]))
+def test_two_sided_evidence_for_null_falls_with_abs_z(a, b, sign_a, sign_b):
+    a, b = sorted((a, b))
+    near = ebf_two_sided(sign_a * a).ebf01_log
+    far = ebf_two_sided(sign_b * b).ebf01_log
+    assert far <= near
+    if b - a > 1e-6:
+        assert far < near
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 900.0), b=st.floats(0.0, 900.0), d=st.integers(1, 5))
+def test_chi_squared_evidence_for_null_falls_with_z2(a, b, d):
+    a, b = sorted((a, b))
+    near, far = ebf_chi_squared(a, d).ebf01_log, ebf_chi_squared(b, d).ebf01_log
+    assert far <= near
+    if b - a > 1e-6:
+        assert far < near

@@ -80,6 +80,19 @@ class TestExpectedBias:
         with pytest.raises(DomainError):
             pvalue_expected_bias(1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_beta(self, beta):
+        with pytest.raises(DomainError, match="beta must be finite"):
+            pvalue_expected_bias(beta)
+
+    @pytest.mark.parametrize("n_nodes", [0, -3, 2.5, True])
+    def test_rejects_bad_node_count(self, n_nodes):
+        with pytest.raises(DomainError, match="n_nodes must be a positive integer"):
+            pvalue_expected_bias(2.0, n_nodes)
+
+    def test_numpy_integer_node_count(self):
+        assert pvalue_expected_bias(2.0, np.int64(80)).value == pvalue_expected_bias(2.0, 80).value
+
 
 class TestEbfPvalue:
     def test_one_in_two_oh_five(self):

@@ -1,9 +1,13 @@
 """Simulation harness: determinism, reductions, and the documented
 patterns at desk scale."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ebfkit._kernels import replicate_mixture_log_marginals
 from ebfkit.exceptions import DomainError
 from ebfkit.simharness import (
     ScenarioSpec,
@@ -105,6 +109,26 @@ class TestLargescale:
         from scipy.stats import spearmanr
         rc = spearmanr(res["single_ebf10_log"], res["multi_ebf10_log"][1.0]).statistic
         assert rc > 0.99
+
+    @pytest.mark.parametrize("m0, m1", [(90, 10), (950, 50)])
+    def test_multi_equals_dense_replicate_kernel(self, m0, m1):
+        """The batch walk gives the one-replicate dense log-sum-exp."""
+        res = run_largescale(m0, m1, seed=SEED, pi_values=(1.0, 0.01, 0.3))
+        x = res["z"]
+        logm0 = -0.5 * (x * x + math.log(2.0 * math.pi))
+        for pi, got in res["multi_ebf10_log"].items():
+            want = replicate_mixture_log_marginals(x[None], x[None], 1.0, pi, -0.5)[0]
+            np.testing.assert_allclose(got, want - logm0, rtol=1e-12, atol=1e-12)
+
+    def test_memory_stays_within_tiles(self):
+        """m = 3000: the dense kernel's m x m arrays took about 275 MB."""
+        tracemalloc.start()
+        try:
+            run_largescale(2900, 100, seed=SEED)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 16.0
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
