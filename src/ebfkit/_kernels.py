@@ -33,16 +33,18 @@ in log space, so it stays finite when every test's own region mass is
 below the smallest double.  ``normal_ebf._log_mass`` is the scalar
 reference that ``multitest.cross_marginal`` builds single terms from.
 
-A walk of at least ``_SPLIT_TILES`` tiles is cut into ``_PARTS`` (2)
-contiguous runs of tiles with about equal pair counts.  The calling thread
-walks part 0 while a module-level pool of ``_PARTS - 1`` threads, made on
-the first split, walks the others; numpy's ufuncs and ``ndtr`` release the
-GIL, so the parts run on separate cores.  Each part writes the own terms of
+A walk of at least ``_SPLIT_TILES`` tiles runs on two threads.  Its tiles
+are cut into ``_RUNS`` contiguous runs with about equal pair counts; the
+calling thread and a worker started for the walk each take the next run
+that neither has taken, until none is left, and the worker keeps the
+caller's numpy error state.  numpy's ufuncs and ``ndtr`` release the GIL,
+so the threads run on separate cores; when one of them loses its core,
+the other takes the runs that are left.  Each run writes the own terms of
 its own rows and adds into its own cross array, and the caller adds those
-arrays in part order.  The cuts depend on m and the tile size alone, so the
-result is the same bits from run to run, and when a process with one core
-runs the parts in turn in the caller.  A shorter walk is one pass in the
-caller, as before: it starts no thread and imports nothing.
+arrays in run order once both threads end.  The cuts depend on m and the
+tile size alone, so the result is the same bits from run to run, whichever
+thread walks which run.  A shorter walk is one pass in the caller, as
+before: it starts no thread.
 
 Region encoding: kind 0 point, 1 below (-inf, a), 2 above (a, inf),
 3 interval (a, b), 4 full line.
@@ -51,7 +53,6 @@ Region encoding: kind 0 point, 1 below (-inf, a), 2 above (a, inf),
 from __future__ import annotations
 
 import math
-import os
 import threading
 
 import numpy as np
@@ -74,15 +75,21 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # about 20% faster than 2**16, and 2**20 lost most of the gain of tiling.
 _TILE_ELEMENTS = 1 << 14
 
-# A walk of this many tiles or more is cut into _PARTS parts that run at the
-# same time; see the module docstring.  At the default tile size that is
-# m >= 442.  Batches of up to 300 tests (4 tiles), where a forced split
-# was no faster, stay one pass in the caller; the kernel tests that shrink
-# the tiles to 46 and 16 entries at m = 23 (8 and 18 tiles) split.
+# A walk of this many tiles or more runs on two threads; see the module
+# docstring.  At the default tile size that is m >= 442.  On a 2-core VM
+# with both cores free, two threads ran a walk with a region mass (ndtr)
+# 1.3-1.4x as fast at 8 tiles and 1.1-1.35x at 4 (m = 300); a walk of the
+# full line alone, with no ndtr, ran 0.62x as fast at 4 tiles, 0.88x at 8
+# and broke even between 13 and 17.  8 keeps the full line at m = 300 and
+# the CLI's batches (m <= 200) in one pass.
 _SPLIT_TILES = 8
-_PARTS = 2
-_pool = _pool_pid = None
-_pool_lock = threading.Lock()
+
+# A split walk is cut into this many runs of tiles, which its two threads
+# take in turn, so a thread whose core is taken away holds up the walk by
+# one run at most.  With a busy-loop process beside it, an m = 1000
+# below/above walk in 8 runs took 1.04x the time of one pass, and in two
+# fixed halves 1.17x; with both cores free, 2 to 16 runs timed within 7%.
+_RUNS = 8
 
 # A row of the linear-domain tile whose scaled sum falls below this has lost
 # its terms to underflow and is recomputed in the log domain.  Only rows
@@ -273,67 +280,57 @@ def _tiles(m):
     return tiles
 
 
-def _parts(m, tiles):
-    """The tiles cut into ``_PARTS`` contiguous runs of about equal pair
-    counts; the cuts depend on m and the tile size alone."""
+def _runs(m, tiles):
+    """The tiles cut into up to ``_RUNS`` contiguous runs of about equal
+    pair counts; the cuts depend on m and the tile size alone."""
     pairs = np.cumsum([(i1 - i0) * (m - i0) for i0, i1 in tiles])
-    cuts = np.searchsorted(pairs, pairs[-1] * np.arange(1, _PARTS) / _PARTS) + 1
-    return [tiles[c0:c1] for c0, c1 in zip([0, *cuts], [*cuts, len(tiles)])]
-
-
-def _cores():
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _split_pool():
-    """The module's pool of ``_PARTS - 1`` threads, made on first use and
-    again in a forked child, whose copy has no threads behind it."""
-    global _pool, _pool_pid
-    with _pool_lock:
-        if _pool is None or _pool_pid != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_PARTS - 1, thread_name_prefix="ebfkit-walk")
-            _pool_pid = os.getpid()
-        return _pool
+    cuts = np.searchsorted(pairs, pairs[-1] * np.arange(1, _RUNS) / _RUNS) + 1
+    runs = [tiles[c0:c1] for c0, c1 in zip([0, *cuts], [*cuts, len(tiles)])]
+    return [run for run in runs if run]
 
 
 def _walk_tiles(x, sd, var, bounds, complementary, tiles, own, cross):
     for i0, i1 in tiles:
-        # a temporary, so that a part never holds two tiles at once
+        # a temporary, so that a walk never holds two of its tiles at once
         _accumulate(_pair_terms(x, sd, var, bounds, complementary, i0, i1),
                     own, cross, i0, i1)
 
 
-def _walk_parts(x, sd, var, bounds, complementary, parts, own):
-    """Each part's cross sums, in part order.  Parts write ``own`` on their
-    own rows only.  The caller runs part 0 and the pool the others, at the
-    same time; a lone part, or a process with one core, runs in the caller
-    alone, with the same sums."""
-    crosses = [np.zeros_like(own) for _ in parts]
-    args = [(x, sd, var, bounds, complementary, part, own, cross)
-            for part, cross in zip(parts, crosses)]
-    if len(args) == 1 or _cores() < 2:
-        for a in args:
-            _walk_tiles(*a)
-        return crosses
-    import contextvars
-    from concurrent.futures import wait
-    pool = _split_pool()
-    # each worker part runs in a copy of the caller's context, so numpy's
-    # error state is the caller's in every part
-    futures = [pool.submit(contextvars.copy_context().run, _walk_tiles, *a)
-               for a in args[1:]]
+def _walk_split(x, sd, var, bounds, complementary, tiles, own, cross):
+    """The walk on two threads: the caller and a worker started for the
+    walk each take the next run of tiles that neither has taken, until none
+    is left.  The worker walks under the caller's numpy error state.  Each
+    run writes ``own`` on its own rows and adds into its own cross array,
+    and these are added to ``cross`` in run order once both threads end, so
+    the sums do not depend on which thread walked which run.  A run's
+    exception reaches the caller."""
+    runs = _runs(x.shape[0], tiles)
+    crosses = np.zeros((len(runs), *cross.shape))
+    queue = iter(range(len(runs)))  # shared: next() on it is atomic under the GIL
+    err = np.geterr()
+    failed = []
+
+    def take():
+        for k in queue:
+            _walk_tiles(x, sd, var, bounds, complementary, runs[k], own, crosses[k])
+
+    def work():
+        try:
+            with np.errstate(**err):
+                take()
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=work, name="ebfkit-walk")
+    worker.start()
     try:
-        _walk_tiles(*args[0])
+        take()
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()  # a part's exception reaches the caller
-    return crosses
+        worker.join()
+    if failed:
+        raise failed[0]
+    for part in crosses:
+        cross += part
 
 
 def _mixture_walk(x, var, regions, pi_h, outs):
@@ -344,8 +341,7 @@ def _mixture_walk(x, var, regions, pi_h, outs):
     every region's terms in a tile share its Gaussian factor.  The own
     terms are taken off the diagonal before summing, so each region's
     weights can be applied to its two sums afterwards.  A walk of at least
-    ``_SPLIT_TILES`` tiles runs in fixed parts at the same time, whose
-    cross sums are added in part order.
+    ``_SPLIT_TILES`` tiles runs on two threads in fixed runs of tiles.
     """
     m = x.shape[0]
     sd = np.sqrt(var)
@@ -354,11 +350,10 @@ def _mixture_walk(x, var, regions, pi_h, outs):
                      and {regions[0][0], regions[1][0]} == {KIND_BELOW, KIND_ABOVE}
                      and regions[0][1] == regions[1][1])
     own = np.empty((len(regions), m))
+    cross = np.zeros_like(own)
     tiles = _tiles(m)
-    parts = [tiles] if len(tiles) < _SPLIT_TILES else _parts(m, tiles)
-    cross, *rest = _walk_parts(x, sd, var, bounds, complementary, parts, own)
-    for part in rest:
-        cross += part
+    walk = _walk_tiles if len(tiles) < _SPLIT_TILES else _walk_split
+    walk(x, sd, var, bounds, complementary, tiles, own, cross)
     for k, region in enumerate(regions):
         _finish(x, var, sd, region, pi_h, own[k], cross[k], outs[k])
 

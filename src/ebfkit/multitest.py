@@ -29,11 +29,10 @@ is built once for both regions, and a complementary pair below:a /
 above:a gets both region masses from one ``ndtr`` per pair, as q and
 1 - q.  A point hypothesis is a closed-form density, so it is computed on
 its own.  A walk of 442 tests or more at the default tile size runs on two
-cores: its tiles are cut into two fixed parts, the calling thread walks
-one while a module-level pool thread walks the other, and their sums are
-added in part order, so the result is the same bits on every run and on
-one core.  Smaller batches are one pass in the caller and start no
-thread.
+cores: its tiles are cut into fixed runs, which the calling thread and a
+worker started for the walk take in turn, and the runs' sums are added in
+run order, so the result is the same bits on every run.  Smaller batches
+are one pass in the caller and start no thread.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """The tiled mixture kernel against the scalar cross_marginal oracle."""
 
 import math
-import os
-import signal
 import sys
 import threading
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -53,18 +52,25 @@ def _oracle_row(batch, region, own_bias, rows=None):
     return out
 
 
-def _spy_splits(monkeypatch):
-    """The number of parts of each walk, as a list that fills as the
-    kernel runs."""
-    splits = []
-    walk_parts = K._walk_parts
+def _count_splits(monkeypatch):
+    """The number of split walks so far, as a one-item list: each starts
+    one worker thread, and an unsplit walk starts none."""
+    splits = [0]
 
-    def spy(*args):
-        splits.append(len(args[5]))
-        return walk_parts(*args)
+    class Thread(threading.Thread):
+        def start(self):
+            splits[0] += 1
+            super().start()
 
-    monkeypatch.setattr(K, "_walk_parts", spy)
+    monkeypatch.setattr(K, "threading", types.SimpleNamespace(Thread=Thread))
     return splits
+
+
+def _small_tiles(monkeypatch, tile):
+    """Tiles of ``tile`` entries, and a split of every walk of two or more
+    of them, so that a small batch takes the split path."""
+    monkeypatch.setattr(K, "_TILE_ELEMENTS", tile)
+    monkeypatch.setattr(K, "_SPLIT_TILES", 2)
 
 
 def _kernel_row(batch, region, own_bias):
@@ -86,19 +92,20 @@ class TestMixtureAgainstCrossMarginal:
     # shorten (a ragged last tile of 4), of 1 row (a tile smaller than one
     # row) growing to 4, and of 2**16 entries (one tile, as at the default
     # size; a literal, so the case's name does not follow the default).
+    # Walks of more than one tile split.
     @pytest.mark.parametrize("tile", [46, 16, 1 << 16])
     def test_rows_across_tiles(self, region, pi_h, tile, monkeypatch):
         rng = np.random.default_rng(17)
         batch = MultiTestBatch.from_arrays(
             1.5 * rng.standard_normal(23), np.exp(0.4 * rng.standard_normal(23)),
             region, region, pi_h=pi_h)
-        monkeypatch.setattr(K, "_TILE_ELEMENTS", tile)
-        splits = _spy_splits(monkeypatch)
+        _small_tiles(monkeypatch, tile)
+        splits = _count_splits(monkeypatch)
         np.testing.assert_allclose(_kernel_row(batch, region, OWN_BIAS),
                                    _oracle_row(batch, region, OWN_BIAS),
                                    rtol=1e-10, atol=1e-10)
-        # the patched tiles split the walk into parts; one tile does not
-        assert splits == ([] if region.kind == "point" else [2] if tile in (16, 46) else [1])
+        # the walk splits unless it is one tile; a point takes none
+        assert splits == [region.kind != "point" and tile in (16, 46)]
 
 
 def test_memory_stays_within_tiles():
@@ -297,13 +304,13 @@ def test_paired_walk_equals_two_walks(h0, h1, pi_h, tile, monkeypatch):
     rng = np.random.default_rng(29)
     se = np.exp(0.4 * rng.standard_normal(23))
     x = 1.5 * rng.standard_normal(23) * se
-    monkeypatch.setattr(K, "_TILE_ELEMENTS", tile)
-    splits = _spy_splits(monkeypatch)
+    _small_tiles(monkeypatch, tile)
+    splits = _count_splits(monkeypatch)
     paired, single = _paired_and_single(x, se, h0, h1, pi_h)
     for got, want in zip(paired, single):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     # one paired walk and two single ones, each split unless in one tile
-    assert splits == [2 if tile in (16, 46) else 1] * 3
+    assert splits == [3 * (tile in (16, 46))]
 
 
 # Rows at +-40 standard errors: the far side of each pair is beyond the
@@ -336,8 +343,8 @@ def test_paired_walk_fallback_rows(a, flip, pi_h, monkeypatch):
 
 
 # ---------------------------------------------------------------- split walk
-# A walk of at least K._SPLIT_TILES tiles runs in fixed parts at the same
-# time: the caller runs part 0 and a pool thread the other.
+# A walk of at least K._SPLIT_TILES tiles runs on the caller and a worker
+# thread, which take its fixed runs of tiles in turn.
 
 def _batch(m, seed):
     rng = np.random.default_rng(seed)
@@ -359,14 +366,14 @@ def _paired(x, se, h0, h1, pi_h):
 
 def test_split_threshold():
     """The benchmark's m = 300 batch and the CLI's batches of up to 200
-    tests walk unsplit; m = 1000 splits into parts of about equal pairs."""
+    tests walk unsplit; m = 1000 splits into runs of about equal pairs."""
     assert len(K._tiles(200)) < len(K._tiles(300)) < K._SPLIT_TILES
     tiles = K._tiles(1000)
-    parts = K._parts(1000, tiles)
-    assert len(tiles) >= K._SPLIT_TILES and len(parts) == K._PARTS == 2
-    assert [t for part in parts for t in part] == tiles
-    pairs = [sum((i1 - i0) * (1000 - i0) for i0, i1 in part) for part in parts]
-    assert abs(pairs[0] - pairs[1]) < 2 * K._TILE_ELEMENTS
+    runs = K._runs(1000, tiles)
+    assert len(tiles) >= K._SPLIT_TILES and len(runs) == K._RUNS
+    assert [t for run in runs for t in run] == tiles
+    pairs = [sum((i1 - i0) * (1000 - i0) for i0, i1 in run) for run in runs]
+    assert max(pairs) - min(pairs) < 2 * K._TILE_ELEMENTS
 
 
 @pytest.mark.parametrize("m, h0, h1", SPLIT_CASES, ids=["m1000-below/above",
@@ -375,9 +382,9 @@ def test_split_threshold():
 def test_split_rows_against_cross_marginal(m, h0, h1, pi_h, monkeypatch):
     """Sampled rows of split walks against the scalar term-by-term sum."""
     x, se = _batch(m, 11)
-    splits = _spy_splits(monkeypatch)
+    splits = _count_splits(monkeypatch)
     got = _paired(x, se, h0, h1, pi_h)
-    assert splits == [2]
+    assert splits == [1]
     batch = MultiTestBatch.from_arrays(x, se, h0, h1, pi_h=pi_h)
     rows = np.random.default_rng(m).choice(m, size=3, replace=False)
     for region, own_bias, row in zip((h0, h1), (0.35, 0.1), got):
@@ -385,61 +392,113 @@ def test_split_rows_against_cross_marginal(m, h0, h1, pi_h, monkeypatch):
                                    rtol=1e-10, atol=1e-10)
 
 
+class _InTurn:
+    """A stand-in for ``threading.Thread`` that runs its target in the
+    caller when joined, after the caller has taken every run."""
+
+    def __init__(self, target, name=None):
+        self._target = target
+
+    def start(self):
+        pass
+
+    def join(self):
+        self._target()
+
+
+def _delayed(monkeypatch, in_worker):
+    """Hold back each run that the worker, or the caller, takes by 5 ms."""
+    walk_tiles = K._walk_tiles
+
+    def late(*args):
+        if (threading.current_thread() is not threading.main_thread()) == in_worker:
+            time.sleep(0.005)
+        return walk_tiles(*args)
+
+    monkeypatch.setattr(K, "_walk_tiles", late)
+
+
 @pytest.mark.parametrize("m, h0, h1", SPLIT_CASES[:1] + [
     (1500, HypothesisRegion.point(0.0), HypothesisRegion.full())], ids=["pair", "single"])
 def test_split_is_bit_identical(m, h0, h1, monkeypatch):
-    """The same bits on every call, whether the parts run at the same time
-    or in turn in the caller on one core."""
+    """The same bits on every call, whichever thread takes which runs, and
+    when the caller takes them all."""
     x, se = _batch(m, 5)
     first = _paired(x, se, h0, h1, 0.1)
-    for cores in (2, 2, 1):
-        monkeypatch.setattr(K, "_cores", lambda cores=cores: cores)
+    schedules = [lambda: None, lambda: None,
+                 lambda: _delayed(monkeypatch, in_worker=True),
+                 lambda: _delayed(monkeypatch, in_worker=False),
+                 lambda: monkeypatch.setattr(K, "threading",
+                                             types.SimpleNamespace(Thread=_InTurn))]
+    for schedule in schedules:
+        monkeypatch.undo()
+        schedule()
         for got, want in zip(_paired(x, se, h0, h1, 0.1), first):
             assert np.array_equal(got, want)
 
 
-def test_one_core_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(K, "_cores", lambda: 1)
-    monkeypatch.setattr(K, "_split_pool", None)  # called, it would raise
-    x, se = _batch(1000, 5)
-    _paired(x, se, *SPLIT_CASES[0][1:], 1.0)
+def _worker_first(monkeypatch, walk):
+    """``walk`` in place of ``_walk_tiles``, with the caller held back until
+    the worker has taken a run, so that both threads take runs.  Returns
+    the event to clear before the next walk."""
+    took = threading.Event()
+
+    def wrapped(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert took.wait(timeout=60)
+        else:
+            took.set()
+        return walk(*args)
+
+    monkeypatch.setattr(K, "_walk_tiles", wrapped)
+    return took
 
 
-def test_worker_exception_reaches_caller(monkeypatch):
-    monkeypatch.setattr(K, "_cores", lambda: 2)
+@pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "caller"])
+def test_run_exception_reaches_caller(in_worker, monkeypatch):
+    """An exception in a run that the worker, or the caller, walks reaches
+    the caller, after the worker has ended; the next call is unharmed."""
     walk_tiles = K._walk_tiles
 
     def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("in a worker's part")
+        if (threading.current_thread() is not threading.main_thread()) == in_worker:
+            raise FloatingPointError("in one run")
         return walk_tiles(*args)
 
-    monkeypatch.setattr(K, "_walk_tiles", failing)
+    _worker_first(monkeypatch, failing)
     x, se = _batch(1000, 5)
-    with pytest.raises(FloatingPointError, match="in a worker's part"):
+    with pytest.raises(FloatingPointError, match="in one run"):
         _paired(x, se, *SPLIT_CASES[0][1:], 1.0)
+    assert not any(t.name == "ebfkit-walk" for t in threading.enumerate())
     monkeypatch.setattr(K, "_walk_tiles", walk_tiles)
     assert np.all(np.isfinite(_paired(x, se, *SPLIT_CASES[0][1:], 1.0)))
 
 
-def test_worker_part_keeps_callers_error_state(monkeypatch):
-    """Only the worker's part underflows here: its rows hold two clusters
-    80 apart (exp(-1600) is 0), while part 0's rows sit halfway between
-    them.  Under the caller's errstate the underflow raises."""
-    monkeypatch.setattr(K, "_cores", lambda: 2)
-    x = np.zeros(1000)
-    start = K._parts(1000, K._tiles(1000))[1][0][0]
-    x[start:] = np.resize([-40.0, 40.0], 1000 - start)
+def test_worker_keeps_callers_error_state(monkeypatch):
+    """Every run underflows here: the rows hold two clusters 80 apart, and
+    exp(-1600) is 0.  The caller walks its runs with underflow ignored, so
+    under the caller's errstate only the runs the worker takes can raise."""
+    walk_tiles = K._walk_tiles
+
+    def caller_ignores(*args):
+        if threading.current_thread() is threading.main_thread():
+            with np.errstate(under="ignore"):
+                return walk_tiles(*args)
+        return walk_tiles(*args)
+
+    took = _worker_first(monkeypatch, caller_ignores)
+    x = np.resize([-40.0, 40.0], 1000)
     ones = np.ones(1000)
     assert np.all(np.isfinite(K.mixture_log_marginals(x, ones, K.KIND_FULL, None, None,
                                                       1.0, 0.5)))
+    took.clear()
     with np.errstate(under="raise"), pytest.raises(FloatingPointError):
         K.mixture_log_marginals(x, ones, K.KIND_FULL, None, None, 1.0, 0.5)
 
 
 def test_concurrent_callers_get_their_own_bits():
-    """Callers on more threads than cores split their walks at once and
-    share the one pool thread; each gets the bits of a lone call."""
+    """Callers on more threads than cores split their walks at once, each
+    with a worker of its own; each gets the bits of a lone call."""
     cases = [_batch(m, seed) for m, seed in ((1000, 1), (700, 2), (1200, 3), (900, 4))]
     h0, h1 = SPLIT_CASES[0][1:]
     want = [_paired(x, se, h0, h1, 0.1) for x, se in cases]
@@ -462,27 +521,3 @@ def test_concurrent_callers_get_their_own_bits():
     assert not any(t.is_alive() for t in threads)
     for g, w in zip(got, want):
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_splits_with_its_own_pool():
-    """A child forked after a split has a copy of the pool with no thread
-    behind it; its own split walks make a new pool instead of waiting."""
-    x, se = _batch(1000, 5)
-    h0, h1 = SPLIT_CASES[0][1:]
-    want = _paired(x, se, h0, h1, 0.1)  # the parent's pool now exists
-    pid = os.fork()
-    if pid == 0:  # the child reports through its exit status only
-        try:
-            got = _paired(x, se, h0, h1, 0.1)
-            os._exit(0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 1)
-        finally:
-            os._exit(2)
-    deadline = time.monotonic() + 60
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's split walk did not finish in 60 s")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
