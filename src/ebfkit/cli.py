@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+# eager: the benchmark's traced run times each engine from `import ebfkit.cli`
 from ebfkit import calibration, count_ebf, f_ebf, normal_ebf, pvalue_ebf, simharness, t_ebf
 from ebfkit.core import HypothesisRegion
 from ebfkit.exceptions import EbfError, NonConvergedError

@@ -183,6 +183,9 @@ class BiasValue:
     achieved_error: float = 0.0
 
     def __post_init__(self):
+        # plain floats whatever the route computed them with (numpy scalars too)
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "achieved_error", float(self.achieved_error))
         if not math.isfinite(self.value):
             raise DomainError(f"expected bias must be finite, got {self.value!r}")
         if not 0.0 <= self.achieved_error < math.inf:
@@ -195,7 +198,7 @@ class BiasValue:
 
     @staticmethod
     def closed_form(value: float) -> "BiasValue":
-        return BiasValue(float(value), "closed-form")
+        return BiasValue(value, "closed-form")
 
     @staticmethod
     def zero() -> "BiasValue":

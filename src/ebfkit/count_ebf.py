@@ -194,7 +194,7 @@ def binom_expected_bias(n: int, region: HypothesisRegion | None = None,
     s, p_s = _beta_binomial(2 * n, alpha)
     own = p_x @ _log_normaliser(region, 2 * x, 2 * (n - x), alpha)
     cross = p_s @ _log_normaliser(region, s, 2 * n - s, alpha)
-    return BiasValue(float(own - cross), "exact-sum")
+    return BiasValue(own - cross, "exact-sum")
 
 
 def _negbinom_series_terms(x: int, alpha: float, region: HypothesisRegion,

@@ -89,6 +89,14 @@ class TestBiasValue:
         with pytest.raises(DomainError, match="^achieved error must be finite"):
             BiasValue(0.1, "quadrature", achieved_error=err)
 
+    def test_numpy_scalars_become_floats(self):
+        """Every route's value and error are plain floats, so ``to_dict``
+        carries no numpy scalars."""
+        b = BiasValue(np.float64(0.1), "exact-sum", achieved_error=np.float64(1e-7))
+        assert type(b.value) is float and type(b.achieved_error) is float
+        assert (b.value, b.achieved_error) == (0.1, 1e-7)
+        assert all(type(v) is not np.float64 for v in b.to_dict().values())
+
 
 class TestLogMarginal:
     def test_correct_applies_bias(self):

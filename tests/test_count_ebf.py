@@ -287,6 +287,12 @@ class TestNegativeBinomial:
         separately; they cancel analytically and must not move the result."""
         assert negbinom_expected_bias(x, region).value == pytest.approx(value, abs=1e-12)
 
+    def test_series_returns_floats(self):
+        """The series fits its tail with numpy least squares; the value and
+        error still come back as plain floats."""
+        v = negbinom_expected_bias(3, FULL, alpha=2.0)
+        assert type(v.value) is float and type(v.achieved_error) is float
+
     def test_degenerate_region_fails_fast(self):
         """The below:0.01 mass underflows at small failure counts for
         x = 200; that raises at the first block instead of a NaN series."""

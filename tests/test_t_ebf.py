@@ -11,6 +11,7 @@ from ebfkit.core import HypothesisRegion
 from ebfkit.exceptions import DomainError
 from ebfkit.numerics import t_log_pdf
 from ebfkit.t_ebf import (
+    LARGE_DF_CUTOFF,
     ebf_t,
     log_leading_constant,
     region_bias,
@@ -87,6 +88,14 @@ class TestExpectedBias:
     def test_large_df_uses_normal_constant(self):
         assert t_expected_bias(201).value == 0.5
         assert t_expected_bias(200).value == pytest.approx(0.5, abs=2e-3)
+
+    def test_large_df_error_covers_the_cutoff(self):
+        """The constant's stated error bounds its distance from the computed
+        bias at the cutoff (about 1.9e-3 against 2e-3)."""
+        computed = t_expected_bias(LARGE_DF_CUTOFF)
+        assert computed.provenance == "quadrature"
+        constant = t_expected_bias(LARGE_DF_CUTOFF + 1)
+        assert abs(computed.value - 0.5) <= constant.achieved_error
 
     def test_welch_fractional_df(self):
         v = t_expected_bias(6.5).value
