@@ -16,7 +16,8 @@ both models
 
 two finite sums for the binomial, two series over failure counts with
 explicit truncation control for the negative binomial (or, for regions
-excluding p = 0, the lattice summed directly).
+excluding p = 0, the lattice summed directly).  Region masses are taken in
+log space, so no term is lost where one is below the smallest double.
 
 The factor generally differs between the two sampling models at the same
 (x, n); when the sampling scheme is uncertain, averaging the corrected
@@ -35,8 +36,9 @@ from scipy.special import xlogy, xlog1py
 
 from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
                          LogMarginal, make_report)
-from ebfkit.exceptions import DegenerateRegionError, DomainError, NonConvergedError
-from ebfkit.numerics import beta_cdf, log_beta, log_gamma
+from ebfkit.exceptions import DomainError, NonConvergedError
+from ebfkit.numerics import log_beta, log_gamma
+from ebfkit.numerics.special import log_beta_mass
 
 __all__ = [
     "CountData",
@@ -102,28 +104,11 @@ def _log_choose(n, k):
     return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
 
 
-def _log_region_mass(region: HypothesisRegion, a, b, strict=True):
-    """log of the Beta(a, b) mass of a region clipped to [0, 1].
-
-    When both endpoints sit in the upper tail the CDF difference cancels
-    catastrophically, so the mass is also formed from the survival side
-    (I_x(a, b) = 1 - I_{1-x}(b, a)) and the better-conditioned value wins.
-    With strict=False an underflowing mass becomes -inf instead of raising,
-    for the lattice sums, which deal with non-finite terms themselves.
-    """
-    lo, hi = region.bounds(_DOMAIN)
-    cdf_mass = beta_cdf(hi, a, b) - beta_cdf(lo, a, b)
-    sf_mass = beta_cdf(1.0 - lo, b, a) - beta_cdf(1.0 - hi, b, a)
-    mass = np.maximum(cdf_mass, sf_mass)
-    if strict and np.any(np.asarray(mass) <= 0.0):
-        raise DegenerateRegionError("region mass underflows to zero")
-    with np.errstate(divide="ignore"):
-        return np.log(mass)
-
-
-def _log_normaliser(region: HypothesisRegion, s, f, a, strict=True):
+def _log_normaliser(region: HypothesisRegion, s, f, a):
     """log Z_H(s, f): the Beta(s + a, f + a) normaliser restricted to the region."""
-    return log_beta(s + a, f + a) + _log_region_mass(region, s + a, f + a, strict)
+    lo, hi = region.bounds(_DOMAIN)
+    return (log_beta(s + a, f + a)
+            + log_beta_mass(s + a, f + a, lo, 1.0 - lo, hi, 1.0 - hi))
 
 
 def _log_point_pmf(data: CountData, p0: float) -> float:
@@ -201,15 +186,15 @@ def _negbinom_series_terms(x: int, alpha: float, region: HypothesisRegion,
                            fgrid):
     """Per-failure-count pieces of the negative-binomial bias series:
     (single-draw predictive, log Z_H(2x, 2f), predictive of the failure
-    total of two draws, log Z_H(2x, f)), with -inf where a mass underflows.
+    total of two draws, log Z_H(2x, f)).
     """
     a = alpha
     lpr1 = (_log_choose(fgrid + x - 1, x - 1.0)
             + log_beta(x + a, fgrid + a) - log_beta(a, a))
     lq2 = (_log_choose(fgrid + 2 * x - 1, 2 * x - 1.0)
            + log_beta(2 * x + a, fgrid + a) - log_beta(a, a))
-    return (np.exp(lpr1), _log_normaliser(region, 2 * x, 2 * fgrid, a, strict=False),
-            np.exp(lq2), _log_normaliser(region, 2 * x, fgrid, a, strict=False))
+    return (np.exp(lpr1), _log_normaliser(region, 2 * x, 2 * fgrid, a),
+            np.exp(lq2), _log_normaliser(region, 2 * x, fgrid, a))
 
 
 def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
@@ -250,8 +235,7 @@ def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
     decays like (a + b log f)/f^2.  Each geometric block fits that shape and
     adds the analytic tail integral; convergence is declared when the
     tail-corrected total stabilizes (or the raw predictive tail mass
-    vanishes, for fast-decaying priors).  A block in which a region mass
-    underflows raises at once."""
+    vanishes, for fast-decaying priors)."""
     total = 0.0
     mass1 = mass2 = 0.0
     n_from, block = 0, 4096
@@ -262,11 +246,7 @@ def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
         n_to = min(n_from + block, max_terms)
         fgrid = np.arange(n_from, n_to, dtype=float)
         pr1, own, q2, pooled = _negbinom_series_terms(x, alpha, region, fgrid)
-        with np.errstate(invalid="ignore"):
-            combined = pr1 * own - q2 * pooled
-        if not np.isfinite(combined).all():
-            raise DegenerateRegionError(
-                f"region mass underflows to zero at failure counts below {n_to}")
+        combined = pr1 * own - q2 * pooled
         total += float(combined.sum())
         mass1 += float(pr1.sum())
         mass2 += float(q2.sum())
@@ -304,40 +284,34 @@ def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
 def _negbinom_bias_box(x, region, alpha, remainder_tol, max_n=4096):
     """Direct lattice route for regions away from p = 0: sum the exact
     (observed, replicate) double sum over growing square boxes until the
-    doubling step stabilizes or the region masses underflow outright."""
+    doubling step stabilizes.  The pooled terms depend on the failure total
+    s = f_i + f_j alone, so they are computed once per s."""
     a = alpha
 
     def box_sum(n):
         f = np.arange(n, dtype=float)
-        with np.errstate(invalid="ignore"):
-            cross_col = _log_normaliser(region, x, f, a, strict=False)
-            own = _log_normaliser(region, 2 * x, 2 * f, a, strict=False) - cross_col
+        s = np.arange(2 * n - 1, dtype=float)
+        cross_col = _log_normaliser(region, x, f, a)
+        own = _log_normaliser(region, 2 * x, 2 * f, a) - cross_col
+        pooled = _log_normaliser(region, 2 * x, s, a)
+        # joint predictive: C(fi) C(fj) B(2x+a, s+a) / B(a, a)
+        log_c = _log_choose(f + x - 1, x - 1.0)
+        log_b = log_beta(2 * x + a, s + a) - log_beta(a, a)
         total = 0.0
         covered = 0.0
         for i0 in range(0, n, 256):
-            fi = f[i0:i0 + 256]
-            s = fi[:, None] + f[None, :]
-            # joint predictive: C(fi) C(fj) B(2x+a, s+a) / B(a, a)
-            log_w = (_log_choose(fi + x - 1, x - 1.0)[:, None]
-                     + _log_choose(f + x - 1, x - 1.0)[None, :]
-                     + log_beta(2 * x + a, s + a) - log_beta(a, a))
-            with np.errstate(invalid="ignore"):
-                d_h = (own[i0:i0 + 256, None]
-                       - _log_normaliser(region, 2 * x, s, a, strict=False)
-                       + cross_col[None, :])
-            w = np.exp(log_w)
-            ok = np.isfinite(d_h)
-            total += float(np.sum((w * d_h)[ok]))
-            covered += float(w[ok].sum())
+            i = np.arange(i0, min(i0 + 256, n))
+            cell = i[:, None] + np.arange(n)[None, :]
+            w = np.exp(log_c[i, None] + log_c[None, :] + log_b[cell])
+            d_h = own[i, None] - pooled[cell] + cross_col[None, :]
+            total += float(np.sum(w * d_h))
+            covered += float(w.sum())
         return total, covered
 
     prev = None
     n = 512
     while n <= max_n:
         total, covered = box_sum(n)
-        if covered <= 0.0:
-            raise DegenerateRegionError(
-                "region mass underflows to zero at the observed counts")
         if prev is not None:
             step = abs(total - prev)
             frontier = covered >= 1.0 - 1e-9 or n == max_n

@@ -9,6 +9,9 @@ likelihood of a region H of the r axis is
 
     Kf  = B(df1, df2) / B(df1/2, df2/2)^2.
 
+An F mass is the log-space Beta(df1/2, df2/2) mass between the images
+u = df1 y / (df1 y + df2) of the region's ends y = r x, exact in both tails.
+
 The expected overfitting bias of the unrestricted hypothesis reduces, like
 the location families, to
 
@@ -40,13 +43,9 @@ from scipy.special import loggamma, polygamma
 
 from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
                          LogMarginal, make_report)
-from ebfkit.exceptions import (
-    DegenerateRegionError,
-    DomainError,
-    NonConvergedError,
-    UnsupportedRegionError,
-)
-from ebfkit.numerics import f_cdf, f_log_pdf, log_beta, log_gamma
+from ebfkit.exceptions import DomainError, NonConvergedError, UnsupportedRegionError
+from ebfkit.numerics import f_log_pdf, log_beta, log_gamma
+from ebfkit.numerics.special import log_beta_mass
 
 __all__ = [
     "FAMILY",
@@ -80,14 +79,13 @@ def log_scale_constant(df1: float, df2: float) -> float:
 
 # ---------------------------------------------------------------- marginals
 
-def _scaled_mass(region: HypothesisRegion, x: float, df1: float, df2: float) -> float:
-    a, b = region.bounds(_DOMAIN)
-    lo = f_cdf(a * x, df1, df2) if a > 0.0 else 0.0
-    hi = f_cdf(b * x, df1, df2) if b < math.inf else 1.0
-    mass = hi - lo
-    if mass <= 0.0:
-        raise DegenerateRegionError("region mass underflows to zero")
-    return mass
+def _beta_point(y: float, df1, df2):
+    """u = df1 y / (df1 y + df2) and its complement df2 / (df1 y + df2), for
+    arrays of degrees of freedom."""
+    if y == math.inf:
+        return 1.0, 0.0
+    s = df1 * y + df2
+    return df1 * y / s, df2 / s
 
 
 def f_posterior_marginal(x: float, df1: float, df2: float,
@@ -99,10 +97,12 @@ def f_posterior_marginal(x: float, df1: float, df2: float,
             raise DomainError("a point hypothesis on the scale must be positive")
         return LogMarginal(math.log(region.a) + f_log_pdf(region.a * x, df1, df2),
                            FAMILY)
-    log_value = (log_scale_constant(df1, df2) - math.log(x)
-                 + math.log(_scaled_mass(region, x, 2.0 * df1, 2.0 * df2))
-                 - math.log(_scaled_mass(region, x, df1, df2)))
-    return LogMarginal(log_value, FAMILY)
+    # the numerator's F(2 df1, 2 df2) and the denominator's F(df1, df2)
+    d1, d2 = np.array([2.0 * df1, df1]), np.array([2.0 * df2, df2])
+    a, b = region.bounds(_DOMAIN)
+    num, den = log_beta_mass(0.5 * d1, 0.5 * d2, *_beta_point(a * x, d1, d2),
+                             *_beta_point(b * x, d1, d2)).tolist()
+    return LogMarginal(log_scale_constant(df1, df2) - math.log(x) + num - den, FAMILY)
 
 
 # --------------------------------------------------------------------- bias

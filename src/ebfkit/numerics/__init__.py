@@ -7,9 +7,8 @@ from ebfkit.numerics.special import (
     normal_quantile,
 )
 from ebfkit.numerics.distributions import (
-    t_log_pdf, t_cdf,
-    f_log_pdf, f_cdf,
-    beta_cdf,
+    t_log_pdf,
+    f_log_pdf,
     chi2_cdf, chi2_sf,
     noncentral_chi2_cdf,
 )
@@ -17,9 +16,7 @@ from ebfkit.numerics.rng import RngStream
 
 __all__ = [
     "log_gamma", "log_beta", "normal_quantile",
-    "t_log_pdf", "t_cdf",
-    "f_log_pdf", "f_cdf",
-    "beta_cdf",
+    "t_log_pdf", "f_log_pdf",
     "chi2_cdf", "chi2_sf", "noncentral_chi2_cdf",
     "RngStream",
 ]

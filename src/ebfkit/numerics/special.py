@@ -3,7 +3,8 @@
 Thin, domain-checked wrappers around scipy.special so every caller in the
 package goes through one audited surface.  ``log_ndtr_scalar`` and
 ``normal_log_pdf_scalar`` are math-module forms for single floats, which
-the scalar engines call many times per batch.
+the scalar engines call many times per batch.  The t, F and count engines
+take every region mass from the log-space ``log_beta_mass``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ebfkit.exceptions import DomainError
+from ebfkit.exceptions import DomainError, NonConvergedError
 
 __all__ = [
     "log_gamma",
     "log_beta",
+    "log_beta_mass",
     "normal_log_pdf_scalar",
     "log_ndtr_scalar",
     "normal_quantile",
@@ -41,6 +43,69 @@ def log_beta(a, b):
         raise DomainError("log_beta requires a, b > 0")
     out = _sp.betaln(a, b)
     return float(out) if out.ndim == 0 else out
+
+
+# A tail whose betainc value is below this (subnormal, or zero where it
+# underflows) is taken from the continued fraction in log space instead.
+_LOG_TAIL_FLOOR = math.log(1e-280)
+
+
+def log_beta_mass(a, b, lo, lo_c, hi, hi_c):
+    """log of the Beta(a, b) mass of (lo, hi), for arrays.
+
+    Each bound comes with its complement, lo_c = 1 - lo and hi_c = 1 - hi,
+    so that an upper tail keeps full precision.  The mass is taken from the
+    tail on the region's side of the mean: log L(hi) + log1p(-exp(log L(lo)
+    - log L(hi))) with L(x) = I_x(a, b) below it, and the same form in the
+    upper tail, the lower tail of Beta(b, a) at 1 - x, otherwise.  The whole
+    of [0, 1] has log mass 0, and an empty region -inf.
+    """
+    if np.all((lo <= 0.0) & (hi >= 1.0)):
+        out = np.zeros(np.broadcast(a, b, lo, hi).shape)
+    else:
+        lower = hi * (a + b) <= a
+        p, q = np.where(lower, a, b), np.where(lower, b, a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            near = _log_tail(p, q, np.where(lower, hi, lo_c), np.where(lower, hi_c, lo))
+            # a far tail below the floor moves the mass only if the near one
+            # is within about 40 (e^-40 < 2^-53) of it
+            far = _log_tail(p, q, np.where(lower, lo, hi_c), np.where(lower, lo_c, hi),
+                            near < _LOG_TAIL_FLOOR + 40.0)
+            out = near + np.log1p(-np.exp(np.fmin(far - near, 0.0)))
+    return out if np.ndim(out) else float(out)
+
+
+def _log_tail(a, b, x, xc, wanted=True):
+    """log I_x(a, b) given xc = 1 - x: log(betainc), or, where that is below
+    the floor and wanted, the log prefactor x^a (1 - x)^b / (a B(a, b)) plus
+    the log of its continued fraction by the modified Lentz method (Numerical
+    Recipes, 3rd ed., section 6.4), which converges in a few terms there."""
+    out = np.log(_sp.betainc(a, b, x))
+    deep = (out < _LOG_TAIL_FLOOR) & (x > 0.0) & wanted
+    if not deep.any():
+        return out
+    out, deep, a, b, x, xc = np.broadcast_arrays(out, deep, a, b, x, xc)
+    out, a, b, x, xc = out.copy(), a[deep], b[deep], x[deep], xc[deep]
+
+    def away_from_zero(v):
+        return np.where(np.abs(v) < 1e-300, 1e-300, v)
+
+    c = np.ones_like(x)
+    d = 1.0 / away_from_zero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1001):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 / away_from_zero(1.0 + num * d)
+            c = away_from_zero(1.0 + num / c)
+            step = c * d
+            h = h * step
+        if np.all(np.abs(step - 1.0) <= 1e-15):
+            out[deep] = (a * np.log(x) + b * np.log(xc) - np.log(a) - _sp.betaln(a, b)
+                         + np.log(h))
+            return out
+    raise NonConvergedError("incomplete beta continued fraction not converged "
+                            f"after {m} terms")
 
 
 _LOG_2PI = math.log(2.0 * math.pi)

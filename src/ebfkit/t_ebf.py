@@ -11,6 +11,9 @@ with leading constant
     c(df) = Gamma((df+1)/2)^2 Gamma(df + 1/2)
             / (sqrt(df pi) Gamma(df/2)^2 Gamma(df+1)).
 
+Each mass is taken in log space from V = df / (df + T^2) ~ Beta(df/2, 1/2),
+so a factor stays finite where a mass is below the smallest double.
+
 The expected overfitting bias of log M for the unrestricted hypothesis has
 an exact reduction: writing g for the density of the difference D = X - Y of
 two independent t_df draws (so g(0) = c(df)),
@@ -33,8 +36,9 @@ from scipy.interpolate import CubicSpline
 
 from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
                          LogMarginal, make_report)
-from ebfkit.exceptions import DegenerateRegionError, DomainError, NonConvergedError
-from ebfkit.numerics import log_gamma, t_cdf, t_log_pdf
+from ebfkit.exceptions import DomainError, NonConvergedError
+from ebfkit.numerics import t_log_pdf
+from ebfkit.numerics.special import log_beta_mass
 
 __all__ = [
     "FAMILY",
@@ -49,6 +53,7 @@ FAMILY = "t"
 
 LARGE_DF_CUTOFF = 200      # beyond this the normal constant 1/2 is used
 _LARGE_DF_BIAS_ERROR = 2e-3  # verified against quadrature at the cutoff
+_LOG2 = math.log(2.0)
 
 
 def _check_args(t: float | None, df: float) -> None:
@@ -64,26 +69,36 @@ def log_leading_constant(df: float) -> float:
     """log c(df), the full-line posterior marginal likelihood."""
     if not 0.0 < df < math.inf:
         raise DomainError(f"df must be positive and finite, got {df!r}")
-    return (2.0 * log_gamma((df + 1.0) / 2.0) + log_gamma(df + 0.5)
+    return (2.0 * math.lgamma((df + 1.0) / 2.0) + math.lgamma(df + 0.5)
             - 0.5 * math.log(df * math.pi)
-            - 2.0 * log_gamma(df / 2.0) - log_gamma(df + 1.0))
+            - 2.0 * math.lgamma(df / 2.0) - math.lgamma(df + 1.0))
 
 
 # ----------------------------------------------------------------- marginals
 
-def _mass(region: HypothesisRegion, centre: float, scale: float, df: float) -> float:
-    """t_df mass of a region about centre at scale.  A region that lies
-    wholly above the centre is mirrored into the lower tail, where the CDF
-    difference does not cancel."""
+def _log_masses(region: HypothesisRegion, centre: float, scale, df):
+    """log masses of a region under t laws about one centre, one law per
+    element of the scale and df arrays.  V falls as |T| grows and the law is
+    symmetric, so a region on one side of the centre has half the Beta mass
+    between its ends' images, and one that holds it half the Beta mass
+    above each end's image."""
     a, b = region.bounds()
     lo, hi = (a - centre) / scale, (b - centre) / scale
-    if lo > 0.0:
+    if hi[0] <= 0.0:
         lo, hi = -hi, -lo
-    mass = ((t_cdf(hi, df) if hi < math.inf else 1.0)
-            - (t_cdf(lo, df) if lo > -math.inf else 0.0))
-    if mass <= 0.0:
-        raise DegenerateRegionError("region mass underflows to zero")
-    return mass
+    if lo[0] >= 0.0:
+        mass = log_beta_mass(0.5 * df, 0.5, *_beta_point(hi, df), *_beta_point(lo, df))
+    else:
+        mass = np.logaddexp(*log_beta_mass(0.5 * df, 0.5,
+                                           *_beta_point(np.array([lo, hi]), df), 1.0, 0.0))
+    return mass - _LOG2
+
+
+def _beta_point(t, df):
+    """df / (df + t^2) and its complement t^2 / (df + t^2), for arrays."""
+    with np.errstate(over="ignore", divide="ignore"):
+        t2 = t * t
+        return 1.0 / (1.0 + t2 / df), 1.0 / (1.0 + df / t2)
 
 
 def t_posterior_marginal(t: float, df: float,
@@ -92,11 +107,9 @@ def t_posterior_marginal(t: float, df: float,
     _check_args(t, df)
     if region.is_point():
         return LogMarginal(t_log_pdf(t - region.a, df), FAMILY)
-    num_scale = math.sqrt(df / (2.0 * df + 1.0))
-    log_value = (log_leading_constant(df)
-                 + math.log(_mass(region, t, num_scale, 2.0 * df + 1.0))
-                 - math.log(_mass(region, t, 1.0, df)))
-    return LogMarginal(log_value, FAMILY)
+    num, den = _log_masses(region, t, np.array([math.sqrt(df / (2.0 * df + 1.0)), 1.0]),
+                           np.array([2.0 * df + 1.0, df])).tolist()
+    return LogMarginal(log_leading_constant(df) + num - den, FAMILY)
 
 
 # ----------------------------------------------------------------- bias

@@ -1,6 +1,7 @@
 """Binomial and negative-binomial factors: exact marginals, exact bias
 sums, series truncation, and model averaging."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -21,8 +22,10 @@ from ebfkit.count_ebf import (
     negbinom_expected_bias,
     negbinom_posterior_marginal,
 )
-from ebfkit.exceptions import DegenerateRegionError, DomainError
+from ebfkit.exceptions import DomainError, NonConvergedError
 from ebfkit.core import make_report
+
+from test_numerics import mp_log_beta_mass
 
 FULL = HypothesisRegion.full()
 HALF = HypothesisRegion.point(0.5)
@@ -40,26 +43,45 @@ REGIONS = {
 }
 
 
+def _log_beta_mass(a, b, lo, hi):
+    """log Beta(a, b) mass of (lo, hi) for arrays, from scipy's incomplete
+    beta differenced in the tail whose near end holds less, and from mpmath
+    (``mp_log_beta_mass``) where that mass is below 1e-10."""
+    below_hi, above_lo = betainc(a, b, hi), betainc(b, a, 1.0 - lo)
+    mass = np.where(below_hi <= above_lo, below_hi - betainc(a, b, lo),
+                    above_lo - betainc(b, a, 1.0 - hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(mass)
+    for i in np.flatnonzero(mass < 1e-10):
+        out[i] = _mp_log_beta_mass(float(a[i]), float(b[i]), lo, hi)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_log_beta_mass(a, b, lo, hi):
+    return mp_log_beta_mass(a, b, lo, hi)
+
+
 def _binom_bias_double_sum(n, region, alpha):
     """The expected bias written out as the double sum over the joint prior
     predictive of observed x and replicate y, own term minus the term whose
-    prior is the replicate's posterior, from scipy's special functions."""
+    prior is the replicate's posterior.  A pooled term depends on x + y
+    alone, so log Z is taken once per total."""
     lo, hi = region.bounds((0.0, 1.0))
 
     def log_z(s, f):
         a, b = s + alpha, f + alpha
-        mass = np.maximum(betainc(a, b, hi) - betainc(a, b, lo),
-                          betainc(b, a, 1.0 - lo) - betainc(b, a, 1.0 - hi))
-        return betaln(a, b) + np.log(mass)
+        return betaln(a, b) + _log_beta_mass(a, b, lo, hi)
 
     x = np.arange(n + 1, dtype=float)
     f = n - x
+    s = np.arange(2 * n + 1, dtype=float)
     lc = gammaln(n + 1.0) - gammaln(x + 1.0) - gammaln(f + 1.0)
     sx, sf = x[:, None] + x[None, :], f[:, None] + f[None, :]
     weight = np.exp(lc[:, None] + lc[None, :] + betaln(sx + alpha, sf + alpha)
                     - betaln(alpha, alpha))
     own = log_z(2 * x, 2 * f) - log_z(x, f)
-    cross = log_z(sx, sf) - log_z(x, f)[None, :]
+    cross = log_z(s, 2 * n - s)[sx.astype(int)] - log_z(x, f)[None, :]
     return float(np.sum(weight * (own[:, None] - cross)))
 
 
@@ -172,6 +194,24 @@ class TestBinomialBias:
         expect = _binom_bias_double_sum(n, REGIONS[region], alpha)
         assert got.value == pytest.approx(expect, abs=1e-12 if n <= 30 else 1e-10)
 
+    @pytest.mark.parametrize("n, value", [(50, 0.24032359908974),
+                                          (100, 0.24496212220283)])
+    def test_upper_half_against_mpmath(self, n, value):
+        """References summed in mpmath at 60 to 80 digits.  The masses of
+        the small counts above 1/2 are below 2^-53, where a linear-domain
+        mass is rounding residue."""
+        assert binom_expected_bias(n, REGIONS["above:0.5"]).value == pytest.approx(
+            value, abs=1e-10)
+
+    @pytest.mark.parametrize("n, region", [(537, "above:0.5"), (1000, "above:0.5"),
+                                           (350, "below:0.3")])
+    def test_masses_below_the_smallest_double(self, n, region):
+        """Here a mass at the counts farthest from the region is below the
+        smallest double, as 2^-(2n + 1) is for x = 0 above 1/2."""
+        got = binom_expected_bias(n, REGIONS[region])
+        assert got.value == pytest.approx(_binom_bias_double_sum(n, REGIONS[region], 1.0),
+                                          abs=1e-10)
+
     def test_large_n_against_double_sum(self):
         got = binom_expected_bias(1000)
         assert got.value == pytest.approx(_binom_bias_double_sum(1000, FULL, 1.0),
@@ -274,7 +314,6 @@ class TestNegativeBinomial:
         assert got.value == pytest.approx(brute, abs=5e-3)
 
     def test_truncation_status(self):
-        from ebfkit.exceptions import NonConvergedError
         with pytest.raises(NonConvergedError):
             negbinom_expected_bias(2, max_terms=64, remainder_tol=1e-12)
 
@@ -293,11 +332,19 @@ class TestNegativeBinomial:
         v = negbinom_expected_bias(3, FULL, alpha=2.0)
         assert type(v.value) is float and type(v.achieved_error) is float
 
-    def test_degenerate_region_fails_fast(self):
-        """The below:0.01 mass underflows at small failure counts for
-        x = 200; that raises at the first block instead of a NaN series."""
-        with pytest.raises(DegenerateRegionError):
-            negbinom_expected_bias(200, HypothesisRegion.below(0.01))
+    def test_deep_region_masses_stay_finite(self):
+        """The below:0.01 masses of x = 200 at small failure counts lie
+        below the smallest double, but they are finite in log space, so a
+        short term budget ends with a finite estimate, not a NaN series."""
+        with pytest.raises(NonConvergedError) as info:
+            negbinom_expected_bias(200, HypothesisRegion.below(0.01), max_terms=1 << 14)
+        assert math.isfinite(info.value.value)
+
+    def test_series_error_bound_holds_deep_in_the_tail(self):
+        """Against 0.0046439, extrapolated from raw partial sums of the
+        summand out to 2^23 terms."""
+        v = negbinom_expected_bias(10, HypothesisRegion.below(0.01))
+        assert abs(v.value - 0.0046439) <= v.achieved_error
 
     def test_bias_positive_and_below_binomial_scale(self):
         v = negbinom_expected_bias(3)
@@ -307,6 +354,16 @@ class TestNegativeBinomial:
         d = CountData(3, 10, NEGATIVE_BINOMIAL)
         region = HypothesisRegion.interval(0.2, 0.8)
         assert ebf_negbinom(d, region, region).ebf01 == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("region, value", [
+        (HypothesisRegion.above(0.5), 0.2298839),
+        (HypothesisRegion.interval(0.2, 0.8), 0.2311669),
+    ])
+    def test_box_route_within_its_error(self, region, value):
+        """Against a single log-space series with every drift term
+        f log(1 - lo) taken out of log Z_H, summed independently."""
+        v = negbinom_expected_bias(3, region)
+        assert abs(v.value - value) <= v.achieved_error < 2e-3
 
     def test_restricted_region_against_lattice_oracle(self):
         """Regions excluding p = 0 go through the direct box sum; the value

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.special import fdtr
 
 from ebfkit.core import HypothesisRegion
 from ebfkit.exceptions import DomainError, UnsupportedRegionError
@@ -18,7 +19,6 @@ from ebfkit.f_ebf import (
     log_scale_constant,
     region_bias,
 )
-from ebfkit.numerics import f_cdf
 
 FULL = HypothesisRegion.full()
 UNIT_POINT = HypothesisRegion.point(1.0)
@@ -198,10 +198,21 @@ class TestAnova:
         for x in (0.3, 1.0, 4.2):
             for d1, d2 in ((1, 1), (3, 12)):
                 closed = (log_scale_constant(d1, d2)
-                          + math.log(f_cdf(x, 2 * d1, 2 * d2))
-                          - math.log(x) - math.log(f_cdf(x, d1, d2)))
+                          + math.log(fdtr(2 * d1, 2 * d2, x))
+                          - math.log(x) - math.log(fdtr(d1, d2, x)))
                 m = f_posterior_marginal(x, d1, d2, BELOW_ONE)
                 assert m.log_value == pytest.approx(closed, abs=1e-10)
+
+    @pytest.mark.parametrize("x, df1, df2, value", [
+        (10.0, 5, 50, -14.1989279226479), (20.0, 5, 50, -24.3213911993756),
+        (60.0, 5, 50, -45.9815303268307), (1e10, 5, 2, -46.7448490405575),
+    ])
+    def test_upper_tail_marginal(self, x, df1, df2, value):
+        """Scales above 1 put the statistic deep in the upper tail, where
+        1 - CDF is rounding residue or 0; references from mpmath at 60
+        digits."""
+        got = f_posterior_marginal(x, df1, df2, HypothesisRegion.above(1.0)).log_value
+        assert got == pytest.approx(value, rel=1e-9)
 
     def test_large_statistic_overwhelms_null(self):
         vals = [ebf_anova(x, 3, 10).ebf01 for x in (5.0, 20.0, 100.0)]

@@ -4,6 +4,7 @@ quadrature behind the normal oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -11,17 +12,15 @@ from scipy import integrate, special, stats
 from ebfkit.exceptions import DomainError, NonConvergedError
 from ebfkit.numerics import (
     RngStream,
-    beta_cdf,
     chi2_cdf,
-    f_cdf,
     f_log_pdf,
     log_gamma,
     noncentral_chi2_cdf,
     normal_quantile,
-    t_cdf,
     t_log_pdf,
 )
-from ebfkit.numerics.special import log_ndtr_scalar, normal_log_pdf_scalar
+from ebfkit.numerics import special as ebf_special
+from ebfkit.numerics.special import log_beta_mass, log_ndtr_scalar, normal_log_pdf_scalar
 
 from test_normal_ebf import _checked_quad
 
@@ -53,27 +52,110 @@ class TestLogGamma:
             log_gamma(-1.5)
 
 
+def mp_beta_tail(a, b, x):
+    """I_x(a, b) at mpmath's working precision, from the series of positive
+    terms x^a (1 - x)^b / (a B(a, b)) * 2F1(a + b, 1; a + 1; x) on the side
+    x <= a / (a + b), and as 1 - I_{1-x}(b, a) past it."""
+    a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+    if x * (a + b) > a:
+        return 1 - mp_beta_tail(b, a, 1 - x)
+    if x == 0:
+        return mpmath.mpf(0)
+    series = mpmath.mp.hypsum(2, 1, ("R", "Z", "R"), [a + b, 1, a + 1], x,
+                              maxterms=10 ** 7)
+    return series * mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a)
+                               - mpmath.loggamma(a) - mpmath.loggamma(b)
+                               + mpmath.loggamma(a + b))
+
+
+def mp_log_beta_mass(a, b, lo, hi):
+    """log of the Beta(a, b) mass of (lo, hi) at 60 digits, differenced in
+    a tail that holds at most half the law when one does."""
+    with mpmath.workdps(60):
+        below_hi = mp_beta_tail(a, b, hi)
+        above_lo = mp_beta_tail(b, a, 1 - mpmath.mpf(lo))
+        if below_hi <= 0.5:
+            mass = below_hi - mp_beta_tail(a, b, lo)
+        elif above_lo <= 0.5:
+            mass = above_lo - mp_beta_tail(b, a, 1 - mpmath.mpf(hi))
+        else:
+            mass = 1 - mp_beta_tail(a, b, lo) - mp_beta_tail(b, a, 1 - mpmath.mpf(hi))
+        return float(mpmath.log(mass))
+
+
+def _log_cdf(x, a, b):
+    """log I_x(a, b): the log mass of (0, x)."""
+    return log_beta_mass(a, b, 0.0, 1.0, x, 1.0 - x)
+
+
 class TestIncompleteBeta:
-    """beta_cdf is the regularized incomplete beta function I_x(a, b)."""
+    """log_beta_mass on (0, x) is the log of the regularized incomplete beta
+    function I_x(a, b)."""
 
     def test_endpoints(self):
-        assert beta_cdf(0.0, 2.0, 3.0) == 0.0
-        assert beta_cdf(1.0, 2.0, 3.0) == pytest.approx(1.0, abs=1e-15)
+        assert _log_cdf(0.0, 2.0, 3.0) == -math.inf
+        assert _log_cdf(1.0, 2.0, 3.0) == 0.0
 
     def test_uniform(self):
-        assert beta_cdf(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert _log_cdf(0.5, 1.0, 1.0) == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_polynomial_case(self):
         """I_x(3, 2) = x^3 (4 - 3x): the Beta(3,2) CDF expanded."""
         x = 0.5
-        assert beta_cdf(x, 3.0, 2.0) == pytest.approx(x ** 3 * (4 - 3 * x), abs=1e-12)
-        assert beta_cdf(0.5, 3.0, 2.0) == pytest.approx(0.3125, abs=1e-12)
+        assert math.exp(_log_cdf(x, 3.0, 2.0)) == pytest.approx(x ** 3 * (4 - 3 * x),
+                                                                abs=1e-12)
+        assert math.exp(_log_cdf(0.5, 3.0, 2.0)) == pytest.approx(0.3125, abs=1e-12)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            beta_cdf(0.5, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            beta_cdf(0.5, 1.0, 0.0)
+
+class TestLogBetaMass:
+    """The log-space region mass against mpmath, deep into both tails."""
+
+    @staticmethod
+    def _grid():
+        rng = np.random.default_rng(20240611)
+        a = np.exp(rng.uniform(math.log(0.3), math.log(3e4), 120))
+        b = np.exp(rng.uniform(math.log(0.3), math.log(3e4), 120))
+        x = rng.uniform(0.0, 1.0, 120)
+        extreme = np.array([(7.0, 4e6, 0.5), (1e3, 7.0, 1e-3), (0.5, 300.5, 0.2),
+                            (300.5, 0.5, 0.99), (2.0, 5.0, 1e-200), (1e4, 1e4, 0.3),
+                            (1e4, 1e4, 0.7), (0.3, 3e4, 0.999), (3e4, 0.3, 1e-3)])
+        return (np.concatenate([a, extreme[:, 0]]), np.concatenate([b, extreme[:, 1]]),
+                np.concatenate([x, extreme[:, 2]]))
+
+    def test_log_tail_against_mpmath(self):
+        """Absolute on the log, relative where |log I| > 1, to 1e-12;
+        betainc alone underflows on many of these points."""
+        a, b, x = self._grid()
+        got = _log_cdf(x, a, b)
+        with mpmath.workdps(50):
+            want = np.array([float(mpmath.log(mp_beta_tail(ai, bi, xi)))
+                             for ai, bi, xi in zip(a, b, x)])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-12
+        with np.errstate(divide="ignore"):
+            assert not np.all(np.isfinite(np.log(special.betainc(a, b, x))))
+
+    @pytest.mark.parametrize("a, b, lo, hi", [
+        (3.0, 40.0, 0.2, 0.6), (40.0, 3.0, 0.2, 0.6), (200.5, 200.5, 0.45, 0.55),
+        (1001.0, 1.0, 0.5, 1.0), (1.0, 2001.0, 0.5, 1.0), (701.0, 1.0, 0.0, 0.3),
+        (0.5, 0.5, 1e-9, 1 - 1e-9), (5e4, 5e4, 0.4999, 0.5001),
+        (2001.0, 1.0, 0.3, 0.3005), (1.0, 2001.0, 0.6995, 0.7),
+    ])
+    def test_region_against_mpmath(self, a, b, lo, hi):
+        got = log_beta_mass(a, b, lo, 1.0 - lo, hi, 1.0 - hi)
+        want = mp_log_beta_mass(a, b, lo, hi)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_whole_domain_skips_betainc(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("betainc called for the whole domain")
+
+        monkeypatch.setattr(ebf_special._sp, "betainc", unused)
+        a = np.array([0.5, 3.0, 1e4])
+        np.testing.assert_array_equal(log_beta_mass(a, 2.0, 0.0, 1.0, 1.0, 0.0), 0.0)
+
+    def test_empty_region(self):
+        assert log_beta_mass(2.0, 3.0, 0.4, 0.6, 0.4, 0.6) == -math.inf
 
 
 class TestNormal:
@@ -134,9 +216,11 @@ class TestDistributions:
         assert math.exp(t_log_pdf(0.0, 1.0)) == pytest.approx(1 / math.pi, rel=1e-14)
 
     def test_f_cdf_equal_df_symmetry(self):
-        """F(1; v, v) = 1/2: X and 1/X share the law when df match."""
+        """F(1; v, v) = 1/2: X and 1/X share the law when df match, and
+        x = 1 maps to u = v / (v + v) = 1/2 of Beta(v/2, v/2)."""
         for df in (1, 2, 7, 33):
-            assert f_cdf(1.0, df, df) == pytest.approx(0.5, abs=1e-12)
+            assert math.exp(_log_cdf(0.5, 0.5 * df, 0.5 * df)) == pytest.approx(
+                0.5, abs=1e-12)
 
     def test_noncentral_chi2_zero_ncp(self):
         x = np.array([0.1, 1.0, 5.0, 20.0])
@@ -169,36 +253,34 @@ class TestDistributions:
         assert f_log_pdf(0.0, 1, 5) == math.inf
 
     def test_quantiles_invert_cdfs(self):
+        """The Beta laws of the t (df/2, 1/2) and F (df1/2, df2/2) masses."""
         ps = np.array([0.001, 0.1, 0.5, 0.9, 0.999])
-        np.testing.assert_allclose(t_cdf(stats.t.ppf(ps, 7), 7), ps, atol=1e-12)
-        np.testing.assert_allclose(f_cdf(stats.f.ppf(ps, 4, 9), 4, 9), ps, atol=1e-12)
+        for a, b in ((3.5, 0.5), (2.0, 4.5)):
+            np.testing.assert_allclose(np.exp(_log_cdf(stats.beta.ppf(ps, a, b), a, b)),
+                                       ps, atol=1e-12)
         np.testing.assert_allclose(chi2_cdf(stats.chi2.ppf(ps, 3), 3), ps, atol=1e-12)
 
     def test_cdfs_nondecreasing_and_bounded(self):
-        grid = np.linspace(-8, 8, 161)
-        for df in (1, 4, 30):
-            vals = t_cdf(grid, df)
+        grid = np.linspace(0.0, 1.0, 161)
+        for a, b in ((0.5, 0.5), (2.0, 15.0), (15.0, 0.5)):
+            vals = _log_cdf(grid, a, b)
             assert np.all(np.diff(vals) >= 0)
-            assert np.all((vals >= 0) & (vals <= 1))
-        pos = np.linspace(1e-6, 50, 200)
-        for d1, d2 in ((1, 1), (3, 7)):
-            vals = f_cdf(pos, d1, d2)
-            assert np.all(np.diff(vals) >= 0)
+            assert np.all(vals <= 0.0)
 
     def test_cdf_matches_pdf_by_differentiation(self):
-        """Central difference of each CDF reproduces scipy's density to 1e-6."""
-        h = 1e-5
-        grid = np.linspace(-4, 4, 17)
-        num = (t_cdf(grid + h, 5) - t_cdf(grid - h, 5)) / (2 * h)
-        np.testing.assert_allclose(num, stats.t.pdf(grid, 5), atol=1e-6)
-        fgrid = np.linspace(0.2, 6, 15)
-        num = (f_cdf(fgrid + h, 3, 8) - f_cdf(fgrid - h, 3, 8)) / (2 * h)
-        np.testing.assert_allclose(num, stats.f.pdf(fgrid, 3, 8), atol=1e-6)
+        """Central difference of the mass reproduces scipy's density to 1e-6."""
+        h = 1e-6
+        grid = np.linspace(0.1, 0.9, 17)
+        for a, b in ((2.5, 0.5), (1.5, 4.0)):
+            num = np.exp(log_beta_mass(a, b, grid - h, 1.0 - (grid - h),
+                                       grid + h, 1.0 - (grid + h))) / (2 * h)
+            np.testing.assert_allclose(num, stats.beta.pdf(grid, a, b), atol=1e-6)
 
     def test_t_approaches_normal(self):
-        grid = np.linspace(-5, 5, 101)
-        dev = np.max(np.abs(t_cdf(grid, 1e6) - special.ndtr(grid)))
-        assert dev < 1e-5
+        """P(T < -|t|) = I_{df/(df + t^2)}(df/2, 1/2) / 2 tends to Phi(-|t|)."""
+        df, t = 1e6, np.linspace(0.0, 5.0, 51)
+        tail = 0.5 * np.exp(_log_cdf(df / (df + t * t), 0.5 * df, 0.5))
+        assert np.max(np.abs(tail - special.ndtr(-t))) < 1e-5
 
     def test_densities_normalize(self):
         val, _ = integrate.quad(lambda u: math.exp(t_log_pdf(u, 3)), -math.inf, math.inf)
@@ -209,8 +291,6 @@ class TestDistributions:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             t_log_pdf(0.0, -1)
-        with pytest.raises(DomainError):
-            f_cdf(-1.0, 2, 2)
         with pytest.raises(DomainError):
             noncentral_chi2_cdf(1.0, 1, -0.5)
         with pytest.raises(DomainError, match="df must be positive"):

@@ -207,9 +207,17 @@ class TestEbfT:
         assert pos == pytest.approx(-62.275, abs=1e-3)
         assert ebf_t(-40.0, 30, below, above).ebf01_log == pytest.approx(-pos, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [60.0, -60.0])
+    def test_half_line_mass_below_the_smallest_double(self, t):
+        """At df = 300 the numerator's df = 601 mass of the far half-line is
+        below the smallest double; the reference is mpmath at 60 digits."""
+        below, above = HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)
+        got = ebf_t(t, 300, below, above).ebf01_log
+        assert got == pytest.approx(-math.copysign(386.37172957008, t), abs=1e-9)
+
 
 @settings(max_examples=40, deadline=None)
-@given(t=st.floats(-30.0, 30.0), df=st.sampled_from([5.0, 30.0, 300.0]),
+@given(t=st.floats(-200.0, 200.0), df=st.sampled_from([5.0, 30.0, 300.0, 1000.0]),
        a=st.floats(-3.0, 3.0), width=st.floats(0.0, 4.0))
 def test_reflection_swaps_half_lines(t, df, a, width):
     """t -> -t maps below:a to above:-a, so below:a against above:b at -t
