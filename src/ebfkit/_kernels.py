@@ -16,7 +16,9 @@ cost one pass over the pairs (``paired_mixture_log_marginals``).  Each
 tile builds the Gaussian factor g = exp(-t^2 / 2) r once, with
 r = 1 / sqrt(v_i + v_j) and t = (x_i - x_j) r, and every region takes its
 terms from it: g itself on the full line, g times a region mass from
-``ndtr`` otherwise.  For below:a with above:a the two masses are q and
+``ndtr`` otherwise.  A walk imports ``ndtr`` and ``log_ndtr`` from
+scipy.special only if it has such a mass, so a full-line or point batch
+never loads scipy.  For below:a with above:a the two masses are q and
 1 - q, so one q = ndtr(-|z|) gives both: the small side is g q and the
 large side g - g q >= g / 2, which does not cancel.  A point region is a
 closed-form density and takes no walk.
@@ -56,7 +58,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 __all__ = [
     "KIND_POINT", "KIND_BELOW", "KIND_ABOVE", "KIND_INTERVAL", "KIND_FULL",
@@ -102,7 +103,7 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _log_mass(kind, a, b, mu, sd):
+def _log_mass(kind, a, b, mu, sd, log_ndtr):
     """Elementwise log of the N(mu, sd^2) mass of an encoded non-point
     region: the array form of ``normal_ebf._log_mass``."""
     if kind == KIND_FULL:
@@ -122,7 +123,7 @@ def _log_mass(kind, a, b, mu, sd):
                         lb + np.log1p(-np.exp(np.minimum(diff, -1e-300))), -np.inf)
 
 
-def _log_rows(x, var, kind, a, b, log_pi, own_bias, i):
+def _log_rows(x, var, kind, a, b, log_pi, own_bias, log_ndtr, i):
     """Log-domain numerators of rows i: log sum_j w_ij N(x_i; x_j, v_i + v_j)
     times the mass test j's posterior, updated by x_i, puts on the region."""
     xi, vi = x[i, None], var[i, None]
@@ -130,7 +131,7 @@ def _log_rows(x, var, kind, a, b, log_pi, own_bias, i):
     terms = -0.5 * ((xi - x) ** 2 / v + np.log(v) + _LOG_2PI)
     if kind != KIND_FULL:
         terms += _log_mass(kind, a, b, (xi * var + x * vi) / v,
-                           np.sqrt(vi * var / v))
+                           np.sqrt(vi * var / v), log_ndtr)
     diag = (np.arange(i.size), i)
     own = terms[diag] - own_bias
     terms += log_pi
@@ -167,7 +168,7 @@ def _pair_bound(sd, z, r, i0, i1):
     return out
 
 
-def _pair_terms(x, sd, var, bounds, complementary, i0, i1):
+def _pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1):
     """sqrt(2 pi) times the unweighted pair terms of each region, rows
     i0..i1-1 against columns i0..m-1: g mass_ij, with the Gaussian factor
     g = exp(-t^2 / 2) r, r = 1 / sqrt(v_i + v_j) and t = (x_i - x_j) r,
@@ -243,7 +244,7 @@ def _accumulate(terms, own, cross, i0, i1):
         cross[k, i1:] += t[:, i1 - i0:].sum(axis=0)
 
 
-def _finish(x, var, sd, region, pi_h, own, cross, out):
+def _finish(x, var, sd, region, pi_h, log_ndtr, own, cross, out):
     """log marginals of one region from its own and cross sums."""
     kind, a, b, own_bias = region
     total = math.exp(-own_bias) * own + pi_h * cross
@@ -256,10 +257,10 @@ def _finish(x, var, sd, region, pi_h, own, cross, out):
     rows = max(1, _TILE_ELEMENTS // x.shape[0])
     for k0 in range(0, deep.size, rows):
         i = deep[k0:k0 + rows]
-        out[i] = _log_rows(x, var, kind, a, b, math.log(pi_h), own_bias, i)
+        out[i] = _log_rows(x, var, kind, a, b, math.log(pi_h), own_bias, log_ndtr, i)
     # denominator mass_i + pi_h sum_{j != i} mass_j, in log space so that
     # masses below the smallest double still give a finite value
-    lmass = _log_mass(kind, a, b, x, sd)
+    lmass = _log_mass(kind, a, b, x, sd, log_ndtr)
     top = lmass.max()
     with np.errstate(invalid="ignore"):  # NaN if every mass is 0 even in log space
         den = np.exp(lmass - top)
@@ -289,14 +290,14 @@ def _runs(m, tiles):
     return [run for run in runs if run]
 
 
-def _walk_tiles(x, sd, var, bounds, complementary, tiles, own, cross):
+def _walk_tiles(x, sd, var, bounds, complementary, ndtr, tiles, own, cross):
     for i0, i1 in tiles:
         # a temporary, so that a walk never holds two of its tiles at once
-        _accumulate(_pair_terms(x, sd, var, bounds, complementary, i0, i1),
+        _accumulate(_pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1),
                     own, cross, i0, i1)
 
 
-def _walk_split(x, sd, var, bounds, complementary, tiles, own, cross):
+def _walk_split(x, sd, var, bounds, complementary, ndtr, tiles, own, cross):
     """The walk on two threads: the caller and a worker started for the
     walk each take the next run of tiles that neither has taken, until none
     is left.  The worker walks under the caller's numpy error state.  Each
@@ -312,7 +313,7 @@ def _walk_split(x, sd, var, bounds, complementary, tiles, own, cross):
 
     def take():
         for k in queue:
-            _walk_tiles(x, sd, var, bounds, complementary, runs[k], own, crosses[k])
+            _walk_tiles(x, sd, var, bounds, complementary, ndtr, runs[k], own, crosses[k])
 
     def work():
         try:
@@ -349,13 +350,16 @@ def _mixture_walk(x, var, regions, pi_h, outs):
     complementary = (len(regions) == 2
                      and {regions[0][0], regions[1][0]} == {KIND_BELOW, KIND_ABOVE}
                      and regions[0][1] == regions[1][1])
+    ndtr = log_ndtr = None  # a walk of the full line alone loads no scipy
+    if any(kind != KIND_FULL for kind, *_ in regions):
+        from scipy.special import log_ndtr, ndtr
     own = np.empty((len(regions), m))
     cross = np.zeros_like(own)
     tiles = _tiles(m)
     walk = _walk_tiles if len(tiles) < _SPLIT_TILES else _walk_split
-    walk(x, sd, var, bounds, complementary, tiles, own, cross)
+    walk(x, sd, var, bounds, complementary, ndtr, tiles, own, cross)
     for k, region in enumerate(regions):
-        _finish(x, var, sd, region, pi_h, own[k], cross[k], outs[k])
+        _finish(x, var, sd, region, pi_h, log_ndtr, own[k], cross[k], outs[k])
 
 
 def _replicate_kernel_np(x, centers, var, pi_h, own_log_weight, out):

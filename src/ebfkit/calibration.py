@@ -85,16 +85,16 @@ def p_for_units(family: str, units: float, d: int = 1) -> float:
     if not 0.0 < units < math.inf:
         raise DomainError(f"units must be positive and finite, got {units!r}")
     log_bf10 = units * LOG_EVIDENCE_BASE
-    if family == "normal-2-sided":
-        d = 1
-    elif family == "chi2":
-        if not 1 <= d < math.inf:
-            raise DomainError(f"chi2 family needs a finite dimension d >= 1, got {d!r}")
-    elif family == "nonparametric":
-        return 1.0 / (10.0 * math.exp(log_bf10))
-    else:
+    if family not in _FAMILIES:
         raise UnsupportedFamilyError(
             f"family must be one of {_FAMILIES}, got {family!r}")
+    if family == "chi2":
+        if not 1 <= d < math.inf:
+            raise DomainError(f"chi2 family needs a finite dimension d >= 1, got {d!r}")
+    elif d != 1:
+        raise DomainError(f"the {family} family has no dimension; d must be 1, got {d!r}")
+    if family == "nonparametric":
+        return 1.0 / (10.0 * math.exp(log_bf10))
 
     # log EBF10(z2) = (z2 - d)/2 - (d/2) log 2 is linear in z2
     z2 = d * (1.0 + LOG2) + 2.0 * log_bf10

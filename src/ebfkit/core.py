@@ -230,8 +230,8 @@ class LogMarginal:
     def __post_init__(self):
         if not math.isfinite(self.log_value):
             raise DomainError("log marginal likelihood must be finite")
-        if self.bias_applied < 0:
-            raise DomainError("applied bias must be nonnegative")
+        if not 0.0 <= self.bias_applied < math.inf:
+            raise DomainError("applied bias must be nonnegative and finite")
 
     def correct(self, bias: BiasValue) -> "LogMarginal":
         """Remove the expected bias: multiply the marginal by exp(-bias)."""
@@ -258,8 +258,8 @@ _ZERO_BIAS = BiasValue.zero()
 class EvidenceReport:
     """Evidence about a pair of hypotheses on the Bayes-factor scale.
 
-    ``ebf01_log`` is the log empirical Bayes factor in favour of the first
-    hypothesis; positive ``units_of_evidence`` favours the second one.
+    ``ebf01_log`` is the finite log empirical Bayes factor in favour of the
+    first hypothesis; positive ``units_of_evidence`` favours the second one.
 
     Batches build one report per test, so ``__init__`` writes the fields
     into the instance dict instead of the frozen dataclass's six
@@ -280,6 +280,8 @@ class EvidenceReport:
                  h1: HypothesisRegion | None = None,
                  bias_h0: BiasValue = _ZERO_BIAS,
                  bias_h1: BiasValue = _ZERO_BIAS):
+        if not -math.inf < ebf01_log < math.inf:
+            raise DomainError(f"log factor must be finite, got {ebf01_log!r}")
         d = self.__dict__
         d["ebf01_log"] = ebf01_log
         d["family"] = family

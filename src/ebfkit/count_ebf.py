@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy, xlog1py
 
 from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
                          LogMarginal, make_report)
@@ -119,6 +118,7 @@ def _log_point_pmf(data: CountData, p0: float) -> float:
         lc = _log_choose(n, x)
     else:
         lc = _log_choose(n - 1, x - 1)
+    from scipy.special import xlog1py, xlogy
     return float(lc + xlogy(x, p0) + xlog1py(n - x, -p0))
 
 
@@ -213,6 +213,10 @@ def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
     """
     _check_count("x", x)
     _check_alpha(alpha)
+    _check_count("max_terms", max_terms)
+    for name, tol in (("tail_mass_tol", tail_mass_tol), ("remainder_tol", remainder_tol)):
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {tol!r}")
     region = region or HypothesisRegion.full()
     if region.is_point():
         return BiasValue.zero()

@@ -39,7 +39,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import loggamma, polygamma
 
 from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
                          LogMarginal, make_report)
@@ -129,6 +128,7 @@ def _expected_bias(df1: float, df2: float) -> BiasValue:
     the spacing is at most sd / 64.  The achieved error is the change when
     the grid is doubled plus that wrapped mass.
     """
+    from scipy.special import loggamma, polygamma
     a, b = 0.5 * df1, 0.5 * df2
     rate = min(a, b)  # exponential tail rate of q
     sd = math.sqrt(2.0 * float(polygamma(1, a) + polygamma(1, b)))

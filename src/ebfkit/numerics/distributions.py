@@ -3,13 +3,13 @@
 The t and F densities are written directly in terms of log-gamma; their
 region masses come from ``special.log_beta_mass``.  The central chi-square
 CDFs are the regularized incomplete gamma functions, and the noncentral
-one is scipy's ``chndtr``.
+one is scipy's ``chndtr``.  Each function imports scipy.special when it is
+called, not when this module is imported.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 from ebfkit.exceptions import DomainError
 
@@ -36,7 +36,8 @@ def t_log_pdf(t, df):
     """log density of the standard t distribution with df degrees of freedom."""
     _check_df(df)
     t = np.asarray(t, dtype=float)
-    out = (_sp.gammaln((df + 1) / 2) - _sp.gammaln(df / 2)
+    from scipy.special import gammaln
+    out = (gammaln((df + 1) / 2) - gammaln(df / 2)
            - 0.5 * np.log(df * np.pi)
            - (df + 1) / 2 * np.log1p(t * t / df))
     return _scalar_or_array(out)
@@ -59,9 +60,10 @@ def f_log_pdf(x, df1, df2):
     coef = 0.5 * df1 - 1.0
     with np.errstate(invalid="ignore"):
         power = np.where(coef == 0.0, 0.0, coef * tau)  # 0 * (-inf) is 0 here
+    from scipy.special import betaln
     out = (0.5 * df1 * log_ratio + power
            - 0.5 * (df1 + df2) * np.logaddexp(0.0, log_ratio + tau)
-           - _sp.betaln(0.5 * df1, 0.5 * df2))
+           - betaln(0.5 * df1, 0.5 * df2))
     return _scalar_or_array(out)
 
 
@@ -72,7 +74,8 @@ def chi2_cdf(x, df):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("chi2_cdf requires x >= 0")
-    return _scalar_or_array(_sp.gammainc(df / 2, x / 2))
+    from scipy.special import gammainc
+    return _scalar_or_array(gammainc(df / 2, x / 2))
 
 
 def chi2_sf(x, df):
@@ -81,7 +84,8 @@ def chi2_sf(x, df):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("chi2_sf requires x >= 0")
-    return _scalar_or_array(_sp.gammaincc(df / 2, x / 2))
+    from scipy.special import gammaincc
+    return _scalar_or_array(gammaincc(df / 2, x / 2))
 
 
 def noncentral_chi2_cdf(x, df, ncp):
@@ -93,4 +97,5 @@ def noncentral_chi2_cdf(x, df, ncp):
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise DomainError("noncentral_chi2_cdf requires x >= 0, not NaN")
-    return _scalar_or_array(_sp.chndtr(x, df, ncp))
+    from scipy.special import chndtr
+    return _scalar_or_array(chndtr(x, df, ncp))

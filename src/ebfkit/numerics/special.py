@@ -1,10 +1,12 @@
 """Special functions and the standard normal distribution.
 
-Thin, domain-checked wrappers around scipy.special so every caller in the
+Domain-checked forms of the special functions, so every caller in the
 package goes through one audited surface.  ``log_ndtr_scalar`` and
 ``normal_log_pdf_scalar`` are math-module forms for single floats, which
 the scalar engines call many times per batch.  The t, F and count engines
-take every region mass from the log-space ``log_beta_mass``.
+take every region mass from the log-space ``log_beta_mass``.  All but the
+two scalar forms import scipy.special when called, not when this module is
+imported, so the scalar normal engine never loads scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from ebfkit.exceptions import DomainError, NonConvergedError
 
@@ -31,7 +32,8 @@ def log_gamma(a):
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0):
         raise DomainError("log_gamma requires a > 0")
-    out = _sp.gammaln(a)
+    from scipy.special import gammaln
+    out = gammaln(a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -41,7 +43,8 @@ def log_beta(a, b):
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0) or np.any(b <= 0):
         raise DomainError("log_beta requires a, b > 0")
-    out = _sp.betaln(a, b)
+    from scipy.special import betaln
+    out = betaln(a, b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -80,7 +83,8 @@ def _log_tail(a, b, x, xc, wanted=True):
     the floor and wanted, the log prefactor x^a (1 - x)^b / (a B(a, b)) plus
     the log of its continued fraction by the modified Lentz method (Numerical
     Recipes, 3rd ed., section 6.4), which converges in a few terms there."""
-    out = np.log(_sp.betainc(a, b, x))
+    from scipy.special import betainc, betaln
+    out = np.log(betainc(a, b, x))
     deep = (out < _LOG_TAIL_FLOOR) & (x > 0.0) & wanted
     if not deep.any():
         return out
@@ -101,7 +105,7 @@ def _log_tail(a, b, x, xc, wanted=True):
             step = c * d
             h = h * step
         if np.all(np.abs(step - 1.0) <= 1e-15):
-            out[deep] = (a * np.log(x) + b * np.log(xc) - np.log(a) - _sp.betaln(a, b)
+            out[deep] = (a * np.log(x) + b * np.log(xc) - np.log(a) - betaln(a, b)
                          + np.log(h))
             return out
     raise NonConvergedError("incomplete beta continued fraction not converged "
@@ -142,5 +146,6 @@ def normal_quantile(p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0) | (p >= 1)):
         raise DomainError("normal_quantile requires 0 < p < 1")
-    out = _sp.ndtri(p)
+    from scipy.special import ndtri
+    out = ndtri(p)
     return float(out) if out.ndim == 0 else out

@@ -21,7 +21,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from ebfkit.core import BiasValue, EvidenceReport, HypothesisRegion
 from ebfkit.exceptions import DomainError, NonConvergedError
@@ -116,6 +115,7 @@ def pvalue_expected_bias(beta: float, n_nodes: int = 160) -> BiasValue:
         raise DomainError(f"alternative shape beta must be finite and > 1, got {beta!r}")
     if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
         raise DomainError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    from scipy.special import roots_legendre
 
     def estimate(n):
         x, w = roots_legendre(n)

@@ -193,6 +193,9 @@ class TestRejectsBadInput:
         ("nonparametric", 0.0, 1, "^units must be"),
         ("chi2", 1.0, math.nan, "dimension d"),
         ("chi2", 1.0, math.inf, "dimension d"),
+        ("normal-2-sided", 1.0, math.nan, "has no dimension"),
+        ("normal-2-sided", 1.0, 2, "has no dimension"),
+        ("nonparametric", 1.0, math.inf, "has no dimension"),
     ])
     def test_p_for_units(self, family, units, d, match):
         with pytest.raises(DomainError, match=match):

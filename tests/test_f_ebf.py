@@ -1,6 +1,7 @@
 """F-statistic factors: scale-region marginals, the bias grid, the
 one-sided analysis-of-variance form."""
 
+import functools
 import math
 
 import numpy as np
@@ -128,10 +129,9 @@ class TestExpectedBias:
             region_bias(HypothesisRegion.interval(0.5, 2.0), 2, 3)
 
 
-import functools
-
-
-@functools.lru_cache(maxsize=None)
+# one value per argument tuple for the whole session; the two oracle tests
+# share the unit-scale (4, 8) integral
+@functools.cache
 def _oracle_bias_double_integral(d1, d2, scale=1.0):
     """Brute-force nested quadrature of the defining bias double integral
     over the prior predictive, with the data optionally generated at a

@@ -107,3 +107,47 @@ def test_cli_import_loads_every_traced_module():
     missing = [name for name in layers.IMPORTED_MODULES
                if name not in layers.ISOLATED_IMPORTS and name not in seen]
     assert missing == []
+
+
+# every module but t_ebf and the CLI loads scipy.special on first use
+NO_SCIPY_ON_IMPORT = (
+    "ebfkit.core", "ebfkit.normal_ebf", "ebfkit.multitest", "ebfkit._kernels",
+    "ebfkit.numerics", "ebfkit.count_ebf", "ebfkit.f_ebf", "ebfkit.pvalue_ebf",
+    "ebfkit.calibration", "ebfkit.simharness",
+)
+_SCIPY_LOADED = "sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))"
+
+
+def test_engines_load_scipy_on_first_use():
+    """Importing the engines loads no scipy; scalar normal factors, the
+    P-value factor and point/full batches never load it; a half-line batch
+    loads scipy.special and nothing else that scipy offers."""
+    out, _ = _fresh("-c", f"""
+import json, sys
+import numpy as np
+import {", ".join(NO_SCIPY_ON_IMPORT)}
+from ebfkit.core import HypothesisRegion as H
+from ebfkit.multitest import MultiTestBatch, multi_ebf
+seen = [{_SCIPY_LOADED}]
+ebfkit.normal_ebf.ebf_interval(1.0, 1.0, H.below(0.0), H.above(0.0))
+ebfkit.normal_ebf.ebf_two_sided(2.0)
+ebfkit.pvalue_ebf.ebf_pvalue(0.03)
+x = np.linspace(-3.0, 3.0, 500)
+multi_ebf(MultiTestBatch.from_arrays(x, np.ones(500), H.point(0.0), H.full(), pi_h=0.1))
+seen.append({_SCIPY_LOADED})
+multi_ebf(MultiTestBatch.from_arrays(x, np.ones(500), H.below(0.0), H.above(0.0), pi_h=0.1))
+seen.append({_SCIPY_LOADED})
+print(json.dumps(seen))
+""")
+    on_import, after_closed_forms, after_half_lines = json.loads(out)
+    assert on_import == [] and after_closed_forms == []
+    assert "scipy.special" in after_half_lines
+    assert [n for n in NOT_FOR_MULTITEST
+            if n.startswith("scipy.") and n in after_half_lines] == []
+
+
+def test_only_t_ebf_imports_scipy_at_module_level():
+    importers = sorted(path.name for path in (ROOT / "src" / "ebfkit").rglob("*.py")
+                       if any(line.startswith(("from scipy", "import scipy"))
+                              for line in path.read_text().splitlines()))
+    assert importers == ["t_ebf.py"]
