@@ -302,7 +302,7 @@ def _cmd_pvalue(args) -> list[dict]:
         report = pvalue_ebf.ebf_pvalue(p)
         rec = _report_record(report)
         rec["p"] = p
-        rec["posterior_prob_h0"] = pvalue_ebf.posterior_prob_h0(p, args.prior_odds)
+        rec["posterior_prob_h0"] = pvalue_ebf._posterior_prob_h0(report, args.prior_odds)
         records.append(rec)
     return records
 

@@ -14,9 +14,12 @@ both models
 
     bias = E[log Z_H(2X, 2F)] - E[log Z_H(X + Y, F_X + F_Y)]:
 
-two finite sums for the binomial, two series over failure counts with
-explicit truncation control for the negative binomial (or, for regions
-excluding p = 0, the lattice summed directly).  Region masses are taken in
+two finite sums for the binomial, one series over failure counts with
+explicit truncation control for the negative binomial.  Where a region
+excludes p = 0, log Z_H(s, f) drifts like f log(1 - lo) in the failure
+count; the drifts cancel in every term of the double sum, so the series
+sums log Z_H with its drift taken out, and its summand decays like
+(a + b log f) f^-(1 + alpha) for every region.  Region masses are taken in
 log space, so no term is lost where one is below the smallest double.
 
 The factor generally differs between the two sampling models at the same
@@ -185,16 +188,18 @@ def binom_expected_bias(n: int, region: HypothesisRegion | None = None,
 def _negbinom_series_terms(x: int, alpha: float, region: HypothesisRegion,
                            fgrid):
     """Per-failure-count pieces of the negative-binomial bias series:
-    (single-draw predictive, log Z_H(2x, 2f), predictive of the failure
-    total of two draws, log Z_H(2x, f)).
+    (single-draw predictive, r(2f), predictive of the failure total of two
+    draws, r(f)), with r(f) = log Z_H(2x, f) - f log(1 - lo) and lo the
+    region's lower end.
     """
     a = alpha
+    drift = math.log1p(-region.bounds(_DOMAIN)[0])
     lpr1 = (_log_choose(fgrid + x - 1, x - 1.0)
             + log_beta(x + a, fgrid + a) - log_beta(a, a))
     lq2 = (_log_choose(fgrid + 2 * x - 1, 2 * x - 1.0)
            + log_beta(2 * x + a, fgrid + a) - log_beta(a, a))
-    return (np.exp(lpr1), _log_normaliser(region, 2 * x, 2 * fgrid, a),
-            np.exp(lq2), _log_normaliser(region, 2 * x, fgrid, a))
+    return (np.exp(lpr1), _log_normaliser(region, 2 * x, 2 * fgrid, a) - 2 * fgrid * drift,
+            np.exp(lq2), _log_normaliser(region, 2 * x, fgrid, a) - fgrid * drift)
 
 
 def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
@@ -203,13 +208,23 @@ def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
                            max_terms: int = 1 << 21) -> BiasValue:
     """Expected bias under negative-binomial sampling with x successes.
 
-    Regions that contain the p -> 0 accumulation point (the full interval
-    and lower tails) use an exact split of the double sum into three
-    one-dimensional series over failure counts; elsewhere the split's
-    pieces diverge individually, so the (observed, replicate) lattice is
-    summed directly over growing square boxes.  Both routes report the
-    estimated truncation remainder as the achieved error, and raise an
-    explicit status when their term budget runs out first.
+    With X = x fixed, bias = E[log Z_H(2x, 2F)] - E[log Z_H(2x, F_1 + F_2)]
+    over the failure counts.  For a region whose lower end lo is above 0,
+    log Z_H(2x, f) drifts like f c with c = log(1 - lo), and each
+    expectation diverges on its own; but in every term of the (observed,
+    replicate) double sum the drifts cancel, 2 f_i c - f_i c - (f_i + f_j) c
+    + f_j c = 0.  So with r(f) = log Z_H(2x, f) - f c, which grows only like
+    log f,
+
+        bias = E[r(2F)] - E[r(F_1 + F_2)]
+
+    for every region (c = 0 where the region reaches p = 0), summed as one
+    series over failure counts.  Its summand decays like
+    (a + b log f) f^-(1 + alpha); each geometric block fits that shape and
+    adds its closed-form tail integral.  The step between successive
+    tail-corrected totals plus a hundredth of the fitted tail is reported as
+    the achieved error, and the term budget running out raises
+    NonConvergedError.
     """
     _check_count("x", x)
     _check_alpha(alpha)
@@ -225,21 +240,9 @@ def negbinom_expected_bias(x: int, region: HypothesisRegion | None = None,
 
 @functools.lru_cache(maxsize=BIAS_CACHE_SIZE)
 def _negbinom_bias(x, region, alpha, tail_mass_tol, remainder_tol, max_terms):
-    lo, _hi = region.bounds(_DOMAIN)
-    if lo <= 0.0:
-        return _negbinom_bias_series(x, region, alpha, tail_mass_tol,
-                                     remainder_tol, max_terms)
-    return _negbinom_bias_box(x, region, alpha, remainder_tol)
-
-
-def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
-                          max_terms):
-    """Series route: the pooled term collapses over the failure total
-    (Vandermonde), leaving two one-dimensional sums whose combined summand
-    decays like (a + b log f)/f^2.  Each geometric block fits that shape and
-    adds the analytic tail integral; convergence is declared when the
-    tail-corrected total stabilizes (or the raw predictive tail mass
-    vanishes, for fast-decaying priors)."""
+    """Sum the series in geometric blocks until the tail-corrected total
+    stabilizes (or the raw predictive tail mass vanishes, for fast-decaying
+    priors)."""
     total = 0.0
     mass1 = mass2 = 0.0
     n_from, block = 0, 4096
@@ -261,16 +264,19 @@ def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
             return BiasValue(total, "exact-sum",
                              achieved_error=(tail1 + tail2) * 10.0)
 
-        # fit combined ~ (a + b log f)/f^2 over the tail half of the grid
-        # (the asymptotic shape does not hold at small f), then integrate
+        # fit combined ~ (a + b log f) f^-(1 + alpha) over the tail half of
+        # the grid (the asymptotic shape does not hold at small f), then
+        # integrate it from the grid's end N: N^-alpha (a/alpha
+        # + b (log N/alpha + 1/alpha^2))
         pos = fgrid >= max(32.0, 0.5 * float(fgrid[-1]))
         if np.count_nonzero(pos) >= 8:
             logs = np.log(fgrid[pos])
-            scaled = combined[pos] * fgrid[pos] ** 2
+            scaled = combined[pos] * fgrid[pos] ** (1.0 + alpha)
             design = np.column_stack([np.ones_like(logs), logs])
             (a_fit, b_fit), *_ = np.linalg.lstsq(design, scaled, rcond=None)
             end = float(fgrid[-1]) + 1.0
-            tail = (a_fit + b_fit * (math.log(end) + 1.0)) / end
+            tail = ((a_fit / alpha + b_fit * (math.log(end) / alpha + 1.0 / alpha ** 2))
+                    / end ** alpha)
             corrected = total + tail
             if prev_corrected is not None:
                 step = abs(corrected - prev_corrected)
@@ -283,49 +289,6 @@ def _negbinom_bias_series(x, region, alpha, tail_mass_tol, remainder_tol,
     raise NonConvergedError(
         f"negative-binomial bias series not converged after {max_terms} terms "
         f"(last step {step:.2e})", value=corrected, error_estimate=step)
-
-
-def _negbinom_bias_box(x, region, alpha, remainder_tol, max_n=4096):
-    """Direct lattice route for regions away from p = 0: sum the exact
-    (observed, replicate) double sum over growing square boxes until the
-    doubling step stabilizes.  The pooled terms depend on the failure total
-    s = f_i + f_j alone, so they are computed once per s."""
-    a = alpha
-
-    def box_sum(n):
-        f = np.arange(n, dtype=float)
-        s = np.arange(2 * n - 1, dtype=float)
-        cross_col = _log_normaliser(region, x, f, a)
-        own = _log_normaliser(region, 2 * x, 2 * f, a) - cross_col
-        pooled = _log_normaliser(region, 2 * x, s, a)
-        # joint predictive: C(fi) C(fj) B(2x+a, s+a) / B(a, a)
-        log_c = _log_choose(f + x - 1, x - 1.0)
-        log_b = log_beta(2 * x + a, s + a) - log_beta(a, a)
-        total = 0.0
-        covered = 0.0
-        for i0 in range(0, n, 256):
-            i = np.arange(i0, min(i0 + 256, n))
-            cell = i[:, None] + np.arange(n)[None, :]
-            w = np.exp(log_c[i, None] + log_c[None, :] + log_b[cell])
-            d_h = own[i, None] - pooled[cell] + cross_col[None, :]
-            total += float(np.sum(w * d_h))
-            covered += float(w.sum())
-        return total, covered
-
-    prev = None
-    n = 512
-    while n <= max_n:
-        total, covered = box_sum(n)
-        if prev is not None:
-            step = abs(total - prev)
-            frontier = covered >= 1.0 - 1e-9 or n == max_n
-            if step <= max(remainder_tol, 2e-4) or frontier or 2 * n > max_n:
-                return BiasValue(total, "exact-sum",
-                                 achieved_error=4.0 * step + (1.0 - covered))
-        prev = total
-        n *= 2
-    raise NonConvergedError("negative-binomial box sum did not settle",
-                            value=prev)
 
 
 # ----------------------------------------------------------------- factors

@@ -42,7 +42,8 @@ import numpy as np
 
 from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
                          LogMarginal, make_report)
-from ebfkit.exceptions import DomainError, NonConvergedError, UnsupportedRegionError
+from ebfkit.exceptions import (DegenerateRegionError, DomainError, NonConvergedError,
+                               UnsupportedRegionError)
 from ebfkit.numerics import f_log_pdf, log_beta, log_gamma
 from ebfkit.numerics.special import log_beta_mass
 
@@ -80,11 +81,17 @@ def log_scale_constant(df1: float, df2: float) -> float:
 
 def _beta_point(y: float, df1, df2):
     """u = df1 y / (df1 y + df2) and its complement df2 / (df1 y + df2), for
-    arrays of degrees of freedom."""
+    arrays of degrees of freedom.  Where the sum overflows, u rounds to 1
+    and the complement is (df2 / df1) / y."""
     if y == math.inf:
         return 1.0, 0.0
-    s = df1 * y + df2
-    return df1 * y / s, df2 / s
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = df1 * y + df2
+        u, u_c = df1 * y / s, df2 / s
+    wide = np.isinf(s)
+    if wide.any():
+        u, u_c = np.where(wide, 1.0, u), np.where(wide, df2 / df1 / y, u_c)
+    return u, u_c
 
 
 def f_posterior_marginal(x: float, df1: float, df2: float,
@@ -101,6 +108,8 @@ def f_posterior_marginal(x: float, df1: float, df2: float,
     a, b = region.bounds(_DOMAIN)
     num, den = log_beta_mass(0.5 * d1, 0.5 * d2, *_beta_point(a * x, d1, d2),
                              *_beta_point(b * x, d1, d2)).tolist()
+    if -math.inf in (num, den):
+        raise DegenerateRegionError("region mass underflows to zero")
     return LogMarginal(log_scale_constant(df1, df2) - math.log(x) + num - den, FAMILY)
 
 

@@ -37,6 +37,12 @@ __all__ = [
 FAMILY = "pvalue"
 DEFAULT_LOG_BIAS = math.log(2.5)
 
+# regions and biases are immutable, so every report shares these
+_NULL = HypothesisRegion.point(1.0)
+_ALTERNATIVE = HypothesisRegion.above(1.0)
+_NO_BIAS = BiasValue.zero()
+_DEFAULT_BIAS = BiasValue.closed_form(DEFAULT_LOG_BIAS)
+
 
 def _check_p(p):
     p = np.asarray(p, dtype=float)
@@ -81,17 +87,21 @@ def ebf_pvalue(p: float) -> EvidenceReport:
     log_ebf01 = DEFAULT_LOG_BIAS - _log_marginal(p)
     if np.ndim(log_ebf01) != 0:
         raise DomainError("ebf_pvalue takes a scalar; map over batches instead")
-    return EvidenceReport(float(log_ebf01), FAMILY,
-                          HypothesisRegion.point(1.0), HypothesisRegion.above(1.0),
-                          BiasValue.zero(), BiasValue.closed_form(DEFAULT_LOG_BIAS))
+    return EvidenceReport(float(log_ebf01), FAMILY, _NULL, _ALTERNATIVE,
+                          _NO_BIAS, _DEFAULT_BIAS)
 
 
 def posterior_prob_h0(p: float, prior_odds: float = 1.0) -> float:
     """P(null | p) given prior odds null:alternative."""
+    return _posterior_prob_h0(ebf_pvalue(p), prior_odds)
+
+
+def _posterior_prob_h0(report: EvidenceReport, prior_odds: float) -> float:
+    """P(null | p) from the P-value's report, given prior odds
+    null:alternative."""
     if not (prior_odds > 0 and math.isfinite(prior_odds)):
         raise DomainError(f"prior odds must be positive and finite, got {prior_odds!r}")
-    ebf01 = math.exp(ebf_pvalue(p).ebf01_log)
-    po = prior_odds * ebf01
+    po = prior_odds * math.exp(report.ebf01_log)
     return po / (1.0 + po)
 
 

@@ -36,7 +36,7 @@ from scipy.interpolate import CubicSpline
 
 from ebfkit.core import (BIAS_CACHE_SIZE, BiasValue, EvidenceReport, HypothesisRegion,
                          LogMarginal, make_report)
-from ebfkit.exceptions import DomainError, NonConvergedError
+from ebfkit.exceptions import DegenerateRegionError, DomainError, NonConvergedError
 from ebfkit.numerics import t_log_pdf
 from ebfkit.numerics.special import log_beta_mass
 
@@ -109,6 +109,8 @@ def t_posterior_marginal(t: float, df: float,
         return LogMarginal(t_log_pdf(t - region.a, df), FAMILY)
     num, den = _log_masses(region, t, np.array([math.sqrt(df / (2.0 * df + 1.0)), 1.0]),
                            np.array([2.0 * df + 1.0, df])).tolist()
+    if -math.inf in (num, den):
+        raise DegenerateRegionError("region mass underflows to zero")
     return LogMarginal(log_leading_constant(df) + num - den, FAMILY)
 
 

@@ -253,6 +253,16 @@ class TestTablesAndCurves:
         rec = parse_json(out)[0]
         assert rec["family"] == "model-average"
 
+    def test_negbinom_prior_shape_below_one(self, capsys):
+        """alpha < 1 gives the failure count a predictive with no mean; the
+        bias series still converges and the command exits 0."""
+        code, out, _ = run_cli(["binom", "--x", "3", "--n", "10", "--model", "negbinom",
+                                "--alpha", "0.5", "--h0", "point:0.5", "--h1", "full"],
+                               capsys)
+        assert code == EXIT_OK
+        bias = parse_json(out)[0]["bias_h1"]
+        assert np.isfinite(bias["value"]) and bias["value"] > 0.0
+
     def test_t_command(self, capsys):
         code, out, _ = run_cli(["t", "--t", "0", "--df", "1"], capsys)
         assert parse_json(out)[0]["ebf01"] == pytest.approx(8.0, abs=0.05)

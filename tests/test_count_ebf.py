@@ -23,6 +23,7 @@ from ebfkit.count_ebf import (
     negbinom_posterior_marginal,
 )
 from ebfkit.exceptions import DomainError, NonConvergedError
+from ebfkit.numerics.special import log_beta_mass
 from ebfkit.core import make_report
 
 from test_numerics import mp_log_beta_mass
@@ -83,6 +84,58 @@ def _binom_bias_double_sum(n, region, alpha):
     own = log_z(2 * x, 2 * f) - log_z(x, f)
     cross = log_z(s, 2 * n - s)[sx.astype(int)] - log_z(x, f)[None, :]
     return float(np.sum(weight * (own[:, None] - cross)))
+
+
+LATTICE_REGIONS = {
+    "full": FULL,
+    "above:0.5": HypothesisRegion.above(0.5),
+    "interval:0.2,0.8": HypothesisRegion.interval(0.2, 0.8),
+}
+
+
+@functools.cache
+def _negbinom_lattice_oracle(x, region, alpha, sizes=(1024, 2048, 4096)):
+    """The negative-binomial bias as the (observed, replicate) double sum
+    over failure counts, own term minus the term whose prior is the
+    replicate's posterior, summed in log space over square boxes of the
+    given sizes in one pass; a pooled term depends on the failure total
+    alone, so log Z is taken once per total.  No drift is taken out and
+    no tail is fitted.
+
+    The summand is homogeneous of degree -(2 + alpha) in the two counts up
+    to relative terms of order 1/f, so a box of side N misses K N^-alpha
+    + K' N^-(alpha + 1) + ...; two Richardson steps remove both terms.
+    Returns the extrapolated sum and the size of the last step as its
+    truncation bound."""
+    lo, hi = region.bounds((0.0, 1.0))
+
+    def log_z(s, f):
+        a, b = s + alpha, f + alpha
+        return betaln(a, b) + log_beta_mass(a, b, lo, 1.0 - lo, hi, 1.0 - hi)
+
+    n = sizes[-1]
+    f = np.arange(n, dtype=float)
+    s = np.arange(2 * n - 1, dtype=float)
+    cross = log_z(x, f)
+    own = log_z(2 * x, 2 * f) - cross
+    pooled = log_z(2 * x, s)
+    log_c = gammaln(f + x) - gammaln(float(x)) - gammaln(f + 1.0)
+    log_w = betaln(2 * x + alpha, s + alpha) - betaln(alpha, alpha)
+    # block[k, l]: rows in the k-th and columns in the l-th band between sizes
+    starts = np.array((0,) + sizes[:-1])
+    band = np.searchsorted(sizes, f, side="right")
+    block = np.zeros((len(sizes), len(sizes)))
+    j = np.arange(n)
+    for i0 in range(0, n, 128):
+        i = np.arange(i0, i0 + 128)
+        cell = i[:, None] + j[None, :]
+        term = (np.exp(log_c[i, None] + log_c[None, :] + log_w[cell])
+                * (own[i, None] - pooled[cell] + cross[None, :]))
+        np.add.at(block, band[i], np.add.reduceat(term, starts, axis=1))
+    box = [block[:k + 1, :k + 1].sum() for k in range(len(sizes))]
+    once = [b2 + (b2 - b1) / (2.0 ** alpha - 1.0) for b1, b2 in zip(box, box[1:])]
+    twice = once[-1] + (once[-1] - once[-2]) / (2.0 ** (alpha + 1.0) - 1.0)
+    return twice, abs(twice - once[-1])
 
 
 def _frac_beta(a: int, b: int) -> Fraction:
@@ -297,7 +350,7 @@ class TestNegativeBinomial:
         assert rnb.ebf01_log - rb.ebf01_log == pytest.approx(bias_diff, abs=1e-12)
 
     def test_bias_against_brute_force_lattice(self):
-        """The three-series decomposition matches a direct truncated double
+        """The series over failure counts matches a direct truncated double
         sum over the (observed, replicate) trial lattice."""
         from ebfkit.numerics import log_beta, log_gamma
         x, alpha, N = 2, 1.0, 3000
@@ -359,18 +412,30 @@ class TestNegativeBinomial:
         (HypothesisRegion.above(0.5), 0.2298839),
         (HypothesisRegion.interval(0.2, 0.8), 0.2311669),
     ])
-    def test_box_route_within_its_error(self, region, value):
-        """Against a single log-space series with every drift term
-        f log(1 - lo) taken out of log Z_H, summed independently."""
+    def test_restricted_region_values_frozen(self, region, value):
+        """Pinned values of a drift-corrected series summed separately with
+        a 1e-7 step tolerance, for regions away from p = 0."""
         v = negbinom_expected_bias(3, region)
-        assert abs(v.value - value) <= v.achieved_error < 2e-3
+        assert abs(v.value - value) <= v.achieved_error <= 1e-5
 
-    def test_restricted_region_against_lattice_oracle(self):
-        """Regions excluding p = 0 go through the direct box sum; the value
-        is frozen from an independent full-lattice evaluation."""
-        v = negbinom_expected_bias(3, HypothesisRegion.interval(0.2, 0.8))
-        assert v.value == pytest.approx(0.2309, abs=5e-3)
-        assert v.achieved_error < 0.01
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("region", ["above:0.5", "interval:0.2,0.8"])
+    def test_restricted_region_against_lattice_oracle(self, region, alpha):
+        """Regions away from p = 0, where each log Z_H drifts like
+        f log(1 - lo), against the lattice summed with the drifts left in."""
+        v = negbinom_expected_bias(3, LATTICE_REGIONS[region], alpha)
+        oracle, bound = _negbinom_lattice_oracle(3, LATTICE_REGIONS[region], alpha)
+        assert v.achieved_error <= 1e-5
+        assert abs(v.value - oracle) <= v.achieved_error + bound
+
+    @pytest.mark.parametrize("region", ["full", "above:0.5"])
+    def test_alpha_below_one_against_lattice_oracle(self, region):
+        """At alpha = 0.5 the predictive of the failure count has no mean
+        and the summand decays like f^-1.5; the series still converges
+        within its default term budget."""
+        v = negbinom_expected_bias(3, LATTICE_REGIONS[region], 0.5)
+        oracle, bound = _negbinom_lattice_oracle(3, LATTICE_REGIONS[region], 0.5)
+        assert abs(v.value - oracle) <= min(1e-4, v.achieved_error + bound)
 
 
 class TestModelAverage:

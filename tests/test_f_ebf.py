@@ -3,6 +3,7 @@ one-sided analysis-of-variance form."""
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import integrate, stats
 from scipy.special import fdtr
 
 from ebfkit.core import HypothesisRegion
-from ebfkit.exceptions import DomainError, UnsupportedRegionError
+from ebfkit.exceptions import DegenerateRegionError, DomainError, UnsupportedRegionError
 from ebfkit.f_ebf import (
     ebf_anova,
     ebf_f,
@@ -213,6 +214,27 @@ class TestAnova:
         digits."""
         got = f_posterior_marginal(x, df1, df2, HypothesisRegion.above(1.0)).log_value
         assert got == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("x, df1, df2, value", [
+        (1.5e308, 3, 5, -2481.3940824107144), (1.5e308, 1, 1, -1066.2403876918207),
+        (1.7976931348623157e308, 3, 5, -2482.0277194115986),
+    ])
+    def test_upper_tail_where_df1_x_overflows(self, x, df1, df2, value):
+        """Here df1 x is above the largest double; the complement of the
+        bound's image is taken as (df2/df1)/x.  References from mpmath at 60
+        digits."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f_posterior_marginal(x, df1, df2, HypothesisRegion.above(1.0)).log_value
+        assert got == pytest.approx(value, rel=1e-12)
+
+    def test_empty_image_is_degenerate(self):
+        """below:1e-300 scaled by x = 1e-300 maps to the empty interval
+        (0, 0): a region mass that underflows, not a bad input."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRegionError, match="^region mass underflows"):
+                f_posterior_marginal(1e-300, 3, 5, HypothesisRegion.below(1e-300))
 
     def test_large_statistic_overwhelms_null(self):
         vals = [ebf_anova(x, 3, 10).ebf01 for x in (5.0, 20.0, 100.0)]

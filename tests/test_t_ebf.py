@@ -1,6 +1,7 @@
 """t-statistic factors: marginals, the bias table, and its oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from ebfkit.core import HypothesisRegion
-from ebfkit.exceptions import DomainError
+from ebfkit.exceptions import DegenerateRegionError, DomainError
 from ebfkit.numerics import t_log_pdf
 from ebfkit.t_ebf import (
     LARGE_DF_CUTOFF,
@@ -214,6 +215,28 @@ class TestEbfT:
         below, above = HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)
         got = ebf_t(t, 300, below, above).ebf01_log
         assert got == pytest.approx(-math.copysign(386.37172957008, t), abs=1e-9)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_statistic_beyond_the_square_root_of_the_largest_double(self, sign):
+        """At |t| = 1e160, t^2 overflows.  The half-line on the statistic's
+        side and a wide interval holding it keep the whole mass; the
+        opposite half-line and a unit interval about 0 have masses that
+        underflow.  Mirror-image inputs give mirror-image results."""
+        t, df = sign * 1e160, 3.0
+        near = HypothesisRegion.above(0.0) if sign > 0 else HypothesisRegion.below(0.0)
+        far = HypothesisRegion.below(0.0) if sign > 0 else HypothesisRegion.above(0.0)
+        wide = (HypothesisRegion.interval(0.0, 2e160) if sign > 0
+                else HypothesisRegion.interval(-2e160, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = log_leading_constant(df)
+            for region in (near, wide):
+                assert t_posterior_marginal(t, df, region).log_value == whole
+            for region in (far, HypothesisRegion.interval(-1.0, 1.0)):
+                with pytest.raises(DegenerateRegionError, match="^region mass underflows"):
+                    t_posterior_marginal(t, df, region)
+            with pytest.raises(DegenerateRegionError):
+                ebf_t(t, df, near, far)
 
 
 @settings(max_examples=40, deadline=None)
