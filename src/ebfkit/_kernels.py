@@ -6,10 +6,24 @@ dominate runtime at scale.  Both are vectorized numpy.
 
 A pair's term in the batch kernel is symmetric in (i, j), so it is computed
 once per pair: the kernel walks the upper triangle in tiles of rows
-[i0, i1) against columns [i0, m), each of at most ``_TILE_ELEMENTS``
-entries or one row, so its working memory is O(tile + m) rather than
-O(m^2).  A tile's row sums go to its own rows, and the column sums of its
-part right of the diagonal block go to the later rows.
+[i0, i1) against columns [i0, m), so its working memory is O(tile + m)
+rather than O(m^2).  A tile's row sums go to its own rows, and the column
+sums of its part right of the diagonal block go to the later rows.
+
+Every walk's tiles are sized by one working-set budget,
+``_TILE_ARRAYS * _TILE_ELEMENTS`` float64 entries (640 KiB), divided by the
+number of tile-sized arrays the walk holds at once (``_tile_elements``).
+A walk with a region mass counts five (r, g, the two bounds of an
+interval and its mass), so its tiles hold 2**14 entries; a walk of the
+full line alone holds two (r and g), so its tiles hold 40960.  A tile is
+at most that many entries or one row.  A walk allocates its tile-sized
+arrays once (``_workspace``), or once per run when split, each on a
+64-byte line, and every tile is built in their first entries.  Arrays
+allocated per tile cost twice over: malloc left them misaligned for the
+AVX-512 loops as often as not, and two 320 KiB full-line arrays freed at
+the end of every tile made glibc 2.36 give the pages back and fault them
+in again, about 21 000 minor faults per m = 4000 full-line walk in a
+fresh process.
 
 One walk serves one or two non-point regions, so a test's two hypotheses
 cost one pass over the pairs (``paired_mixture_log_marginals``).  Each
@@ -35,11 +49,11 @@ in log space, so it stays finite when every test's own region mass is
 below the smallest double.  ``normal_ebf._log_mass`` is the scalar
 reference that ``multitest.cross_marginal`` builds single terms from.
 
-A walk of at least ``_SPLIT_TILES`` tiles runs on two threads.  Its tiles
-are cut into ``_RUNS`` contiguous runs with about equal pair counts; the
-calling thread and a worker started for the walk each take the next run
-that neither has taken, until none is left, and the worker keeps the
-caller's numpy error state.  numpy's ufuncs and ``ndtr`` release the GIL,
+A walk of at least ``_SPLIT_TILES`` of its own tiles runs on two threads.
+Its tiles are cut into ``_RUNS`` contiguous runs with about equal pair
+counts; the calling thread and a worker started for the walk each take
+the next run that neither has taken, until none is left, and the worker
+keeps the caller's numpy error state.  numpy's ufuncs and ``ndtr`` release the GIL,
 so the threads run on separate cores; when one of them loses its core,
 the other takes the runs that are left.  Each run writes the own terms of
 its own rows and adds into its own cross array, and the caller adds those
@@ -69,20 +83,36 @@ KIND_POINT, KIND_BELOW, KIND_ABOVE, KIND_INTERVAL, KIND_FULL = 0, 1, 2, 3, 4
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Entries in one (rows x m) working array of the batch kernel.  A tile of
-# two regions holds about five such arrays; at 2**14 float64 values
-# (128 KiB) each they stay within a typical L2 cache.  On a 2-core Xeon
-# with 2 MiB of L2 per core, 2**14 ran a below/above pair at m = 300-4000
-# about 20% faster than 2**16, and 2**20 lost most of the gain of tiling.
+# Entries in one (rows x m) working array of a tile with a region mass;
+# at 2**14 float64 values (128 KiB) the five such arrays stay within a
+# typical L2 cache.  On a 2-core Xeon with 2 MiB of L2 per core, 2**14 ran
+# a below/above pair at m = 300-4000 about 20% faster than 2**16, and 2**20
+# lost most of the gain of tiling.
 _TILE_ELEMENTS = 1 << 14
 
-# A walk of this many tiles or more runs on two threads; see the module
-# docstring.  At the default tile size that is m >= 442.  On a 2-core VM
-# with both cores free, two threads ran a walk with a region mass (ndtr)
-# 1.3-1.4x as fast at 8 tiles and 1.1-1.35x at 4 (m = 300); a walk of the
-# full line alone, with no ndtr, ran 0.62x as fast at 4 tiles, 0.88x at 8
-# and broke even between 13 and 17.  8 keeps the full line at m = 300 and
-# the CLI's batches (m <= 200) in one pass.
+# The working set of every walk's tile is _TILE_ARRAYS * _TILE_ELEMENTS
+# entries, shared among the tile-sized arrays the walk holds at once:
+# _TILE_ARRAYS with a region mass, _FULL_LINE_ARRAYS (r and g) on the full
+# line alone, whose tiles so hold 40960 entries.  On a 2-core Xeon with
+# 2 MiB of L2 per core, an m = 4000 full-line walk took 55.5 ms in one
+# pass at 40960 against 63.6 ms at 2**14, and 34.6 ms split against
+# 61.2 ms: at 2**14 its split saved almost nothing.
+_TILE_ARRAYS = 5
+_FULL_LINE_ARRAYS = 2
+
+# A walk of this many of its own tiles or more runs on two threads; see
+# the module docstring.  That is m >= 442 for a walk with a region mass
+# and m >= 698 for the full line alone.  On a 2-core VM with both cores
+# free, two threads ran a walk with a region mass (ndtr) 1.3-1.4x as fast
+# at 8 tiles and 1.1-1.35x at 4 (m = 300).  A walk of the full line alone,
+# in its 40960-entry tiles, ran 1.03x as fast at 4 tiles (m = 500), 1.10x
+# at 8 (m = 700), 1.36x at 14 (m = 1000), 1.25-1.3x at m = 1300-1500,
+# 1.29x at m = 2000 and 1.36x at m = 4000.  Where the second core was
+# busy with other work, it ran 0.80x as fast at m = 500, 0.84-0.89x at
+# m = 700-1300 and broke even at m = 1500; with a busy loop on the other
+# core, 0.75x at m = 700, 0.89x at 1000, 0.95x at 2000 and 1.1x at 4000.
+# 8 keeps full-line batches of m < 698, the CLI's (m <= 200) among them,
+# in one pass.
 _SPLIT_TILES = 8
 
 # A split walk is cut into this many runs of tiles, which its two threads
@@ -159,16 +189,40 @@ def _standardized_bounds(kind, a, b, x, sd):
     return None, None
 
 
-def _pair_bound(sd, z, r, i0, i1):
-    """(sd_j z_i + sd_i z_j) r over the tile: a per-test standardized bound
-    carried to the pair's posterior, symmetric in (i, j)."""
-    out = z[i0:i1, None] * sd[i0:]
-    out += sd[i0:i1, None] * z[i0:]
+def _pair_bound(sd, z, r, i0, i1, out, tmp):
+    """(sd_j z_i + sd_i z_j) r over the tile, into ``out``: a per-test
+    standardized bound carried to the pair's posterior, symmetric in
+    (i, j).  ``tmp`` is overwritten."""
+    np.multiply(z[i0:i1, None], sd[i0:], out=out)
+    out += np.multiply(sd[i0:i1, None], z[i0:], out=tmp)
     out *= r
-    return out
 
 
-def _pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1):
+def _work_arrays(bounds, complementary):
+    """The tile-sized arrays ``_pair_terms`` holds at once: r and g, then
+    z and the large side's indicator for a complementary pair; otherwise a
+    mass per region that has one, and room to build the widest region's
+    mass (a pair bound's second product, and an interval's second
+    bound)."""
+    if complementary:
+        return 4
+    intervals = [zb is not None for za, zb in bounds if za is not None]
+    if not intervals:
+        return 2
+    return 2 + len(intervals) + (2 if any(intervals) else 1)
+
+
+def _workspace(arrays, size):
+    """``arrays`` flat float64 arrays of at least ``size`` entries, each
+    starting on a 64-byte line: on an AVX-512 Xeon the Gaussian factor's
+    ufunc loops ran about 1.4x as long over arrays off such a line."""
+    size = -(-size // 8) * 8
+    flat = np.empty(arrays * size + 8)
+    start = -flat.ctypes.data % 64 // 8
+    return list(flat[start:start + arrays * size].reshape(arrays, size))
+
+
+def _pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1, work):
     """sqrt(2 pi) times the unweighted pair terms of each region, rows
     i0..i1-1 against columns i0..m-1: g mass_ij, with the Gaussian factor
     g = exp(-t^2 / 2) r, r = 1 / sqrt(v_i + v_j) and t = (x_i - x_j) r,
@@ -180,19 +234,26 @@ def _pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1):
     1 - q at one q = ndtr(-|z|): the smaller side is g q and the larger
     g - g q >= g / 2, so the subtraction does not cancel; the sign of z
     says which region is which side.  Every factor is symmetric in (i, j).
+
+    Every array is built in the tile's first entries of one of the
+    ``_work_arrays`` arrays of ``work``, and the terms returned are views
+    of them, valid until the next tile.
     """
-    r = var[i0:i1, None] + var[i0:]
+    shape = (i1 - i0, x.shape[0] - i0)
+    r, g, *free = (w[:shape[0] * shape[1]].reshape(shape) for w in work)
+    np.add(var[i0:i1, None], var[i0:], out=r)
     np.sqrt(r, out=r)
     np.reciprocal(r, out=r)
-    g = x[i0:i1, None] - x[i0:]
+    np.subtract(x[i0:i1, None], x[i0:], out=g)
     g *= r
     np.square(g, out=g)
     g *= -0.5
     np.exp(g, out=g)
     g *= r
     if complementary:
-        z = _pair_bound(sd, bounds[0][0], r, i0, i1)
-        first_large = z >= 0.0
+        z, first = free
+        _pair_bound(sd, bounds[0][0], r, i0, i1, z, first)
+        np.greater_equal(z, 0.0, out=first)  # 1 where the first is the large side
         np.abs(z, out=z)
         np.negative(z, out=z)
         small = ndtr(z, out=z)
@@ -202,7 +263,7 @@ def _pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1):
         gap = g
         gap -= small
         gap -= small
-        first = gap * first_large
+        first *= gap
         gap -= first
         first += small
         gap += small
@@ -212,18 +273,21 @@ def _pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1):
         if za is None:
             terms.append(g)
             continue
-        z = _pair_bound(sd, za, r, i0, i1)
+        z = free.pop()
+        _pair_bound(sd, za, r, i0, i1, z, free[-1])
         if zb is None:
             mass = ndtr(z, out=z)
         else:
             # the interval flipped into the lower tail, (-|c| - h, -|c| + h)
-            h = _pair_bound(sd, zb, r, i0, i1)
+            h = free.pop()
+            _pair_bound(sd, zb, r, i0, i1, h, free[-1])
             np.abs(z, out=z)
             np.negative(z, out=z)
-            mass = z + h
+            mass = np.add(z, h, out=free.pop())
             z -= h
             ndtr(mass, out=mass)
             mass -= ndtr(z, out=z)
+            free += [z, h]
         mass *= g
         terms.append(mass)
     return terms
@@ -268,14 +332,21 @@ def _finish(x, var, sd, region, pi_h, log_ndtr, own, cross, out):
     out -= top + np.log(den)
 
 
-def _tiles(m):
-    """Row ranges [i0, i1) of the walk's tiles, each of at most
-    ``_TILE_ELEMENTS`` entries of rows i0..i1-1 against columns i0..m-1,
-    or one row."""
+def _tile_elements(has_mass):
+    """Entries in each working array of a walk's tile: the working set of
+    ``_TILE_ARRAYS`` arrays of ``_TILE_ELEMENTS`` entries, shared among the
+    arrays the walk's tile holds at once."""
+    arrays = _TILE_ARRAYS if has_mass else _FULL_LINE_ARRAYS
+    return _TILE_ARRAYS * _TILE_ELEMENTS // arrays
+
+
+def _tiles(m, size):
+    """Row ranges [i0, i1) of the walk's tiles, each of at most ``size``
+    entries of rows i0..i1-1 against columns i0..m-1, or one row."""
     tiles = []
     i0 = 0
     while i0 < m:
-        i1 = min(m, i0 + max(1, _TILE_ELEMENTS // (m - i0)))
+        i1 = min(m, i0 + max(1, size // (m - i0)))
         tiles.append((i0, i1))
         i0 = i1
     return tiles
@@ -291,9 +362,12 @@ def _runs(m, tiles):
 
 
 def _walk_tiles(x, sd, var, bounds, complementary, ndtr, tiles, own, cross):
+    # the arrays of every tile, allocated once per walk or run
+    work = _workspace(_work_arrays(bounds, complementary),
+                      max((i1 - i0) * (x.shape[0] - i0) for i0, i1 in tiles))
     for i0, i1 in tiles:
-        # a temporary, so that a walk never holds two of its tiles at once
-        _accumulate(_pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1),
+        # consumed before the next tile reuses ``work``
+        _accumulate(_pair_terms(x, sd, var, bounds, complementary, ndtr, i0, i1, work),
                     own, cross, i0, i1)
 
 
@@ -338,10 +412,11 @@ def _mixture_walk(x, var, regions, pi_h, outs):
     """Log marginals of one or two non-point regions, each (kind, a, b,
     own_bias), from one walk over the upper triangle of pairs.
 
-    The walk goes in tiles of rows i0..i1-1 against columns i0..m-1, and
-    every region's terms in a tile share its Gaussian factor.  The own
-    terms are taken off the diagonal before summing, so each region's
-    weights can be applied to its two sums afterwards.  A walk of at least
+    The walk goes in tiles of rows i0..i1-1 against columns i0..m-1, sized
+    by the arrays the walk holds (``_tile_elements``), and every region's
+    terms in a tile share its Gaussian factor.  The own terms are taken off
+    the diagonal before summing, so each region's weights can be applied
+    to its two sums afterwards.  A walk of at least
     ``_SPLIT_TILES`` tiles runs on two threads in fixed runs of tiles.
     """
     m = x.shape[0]
@@ -350,12 +425,13 @@ def _mixture_walk(x, var, regions, pi_h, outs):
     complementary = (len(regions) == 2
                      and {regions[0][0], regions[1][0]} == {KIND_BELOW, KIND_ABOVE}
                      and regions[0][1] == regions[1][1])
+    has_mass = any(kind != KIND_FULL for kind, *_ in regions)
     ndtr = log_ndtr = None  # a walk of the full line alone loads no scipy
-    if any(kind != KIND_FULL for kind, *_ in regions):
+    if has_mass:
         from scipy.special import log_ndtr, ndtr
     own = np.empty((len(regions), m))
     cross = np.zeros_like(own)
-    tiles = _tiles(m)
+    tiles = _tiles(m, _tile_elements(has_mass))
     walk = _walk_tiles if len(tiles) < _SPLIT_TILES else _walk_split
     walk(x, sd, var, bounds, complementary, ndtr, tiles, own, cross)
     for k, region in enumerate(regions):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -27,6 +28,10 @@ from ebfkit.exceptions import EbfError, NonConvergedError
 from ebfkit.multitest import MultiTestBatch, multi_ebf, ranked_summary
 
 SCHEMA_VERSION = 1
+
+# JSON encoder chunks joined into one write: the encoder yields a few dozen
+# per record, and one string of the whole output would cost its size again
+_JSON_BLOCK = 4096
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,7 +77,9 @@ def emit(records: list[dict], fmt: str, out=None, lossless=()) -> None:
     if fmt == "json":
         envelope = {"schema_version": SCHEMA_VERSION,
                     "records": _finite_or_null(records)}
-        json.dump(envelope, out, indent=2, allow_nan=False)
+        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(envelope)
+        while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
+            out.write(block)
         out.write("\n")
         return
     rows = [_flatten(r) for r in records]

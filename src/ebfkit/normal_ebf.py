@@ -122,8 +122,11 @@ def _log_value(x: float, sigma: float, region: HypothesisRegion) -> float:
     may be non-finite, which the callers reject."""
     if region.kind == "point":
         return normal_log_pdf_scalar(x, region.a, sigma * sigma)
+    own = normal_log_pdf_scalar(x, x, 2.0 * sigma * sigma)
+    if region.kind == "full":
+        return own  # both masses are 1
     a, b = region.line_bounds
-    return (normal_log_pdf_scalar(x, x, 2.0 * sigma * sigma)
+    return (own
             + _log_mass_between(a, b, x, sigma / _SQRT2)
             - _log_mass_between(a, b, x, sigma))
 

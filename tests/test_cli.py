@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebfkit.cli import EXIT_OK, EXIT_USAGE, main
+from ebfkit.cli import EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, emit, main
 from ebfkit.core import HypothesisRegion
 from ebfkit.multitest import MultiTestBatch, multi_ebf
 from ebfkit.normal_ebf import ebf_interval, ebf_two_sided
@@ -309,6 +310,26 @@ class TestFormats:
         rec = parse_json(out)[0]
         from ebfkit.normal_ebf import ebf_two_sided
         assert rec["ebf01_log"] == ebf_two_sided(1.2345678901234567).ebf01_log
+
+    def test_json_blocks_are_one_dump(self):
+        """JSON goes out in blocks of encoder chunks, a few writes for 3000
+        records, with the bytes of one indented dump; inf becomes null."""
+        records = [{"id": f"t{i}", "p": i / 3001, "bf": math.inf if i % 7 else -i / 3,
+                    "h0": {"kind": "point", "a": 0.0}} for i in range(3000)]
+        writes = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        out = Out()
+        emit(records, "json", out)
+        nulled = [{**r, "bf": None if math.isinf(r["bf"]) else r["bf"]} for r in records]
+        assert out.getvalue() == json.dumps({"schema_version": SCHEMA_VERSION,
+                                             "records": nulled},
+                                            indent=2, allow_nan=False) + "\n"
+        assert 1 < len(writes) < 100
 
     def test_csv_headers_flatten_nested_fields(self, capsys):
         code, out, _ = run_cli(["--format", "csv", "normal", "--z", "1.0"], capsys)

@@ -34,10 +34,10 @@ def _oracle_row(batch, region, own_bias, rows=None):
     term and the pi_h-weighted cross_marginal terms over the masses; only
     the tests ``rows`` if given."""
     x, se = batch.estimates, batch.standard_errors
-    if region.kind == "point":
-        return norm.logpdf(x, region.a, se)
     m, pi_h = batch.size, batch.pi_h
     rows = range(m) if rows is None else rows
+    if region.kind == "point":
+        return norm.logpdf(x[rows], region.a, se[rows])
     mass = np.exp([_log_mass(region, x[j], se[j]) for j in range(m)])
     own_log_pdf = norm.logpdf(x, x, math.sqrt(2.0) * se)
     out = np.empty(len(rows))
@@ -108,19 +108,26 @@ class TestMixtureAgainstCrossMarginal:
         assert splits == [region.kind != "point" and tile in (16, 46)]
 
 
+def _peak_mb(x, se, kind, a):
+    tracemalloc.start()
+    try:
+        K.mixture_log_marginals(x, se, kind, a, None, 1.0, 0.25)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_stays_within_tiles():
-    """m = 2000 on a half-line: the m x m pairwise arrays alone would take
-    32 MB each, the row tiles about 0.5 MB each."""
+    """m = 2000: the m x m pairwise arrays alone would take 32 MB each.  On
+    a half-line the row tiles take about 0.5 MB each.  The full-line walk
+    splits, so its two threads hold a tile working set each, plus arrays
+    of m."""
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2000)
     se = np.exp(0.4 * rng.standard_normal(2000))
-    tracemalloc.start()
-    try:
-        K.mixture_log_marginals(x, se, K.KIND_BELOW, 0.0, None, 1.0, 0.25)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < 16.0
+    assert _peak_mb(x, se, K.KIND_BELOW, 0.0) < 16.0
+    working_set_mb = K._TILE_ARRAYS * K._TILE_ELEMENTS * 8 / 2 ** 20
+    assert _peak_mb(x, se, K.KIND_FULL, None) < 2 * working_set_mb + 1.0
 
 
 # Rows at +-40 standard errors beside a bulk near 0: each region
@@ -356,6 +363,7 @@ def _batch(m, seed):
 SPLIT_CASES = [  # (m, h0, h1) of the benchmark's typical and large batches
     (1000, HypothesisRegion.below(0.0), HypothesisRegion.above(0.0)),
     (2000, HypothesisRegion.interval(-0.5, 0.5), HypothesisRegion.full()),
+    (4000, HypothesisRegion.point(0.0), HypothesisRegion.full()),
 ]
 
 
@@ -365,19 +373,46 @@ def _paired(x, se, h0, h1, pi_h):
 
 
 def test_split_threshold():
-    """The benchmark's m = 300 batch and the CLI's batches of up to 200
-    tests walk unsplit; m = 1000 splits into runs of about equal pairs."""
-    assert len(K._tiles(200)) < len(K._tiles(300)) < K._SPLIT_TILES
-    tiles = K._tiles(1000)
-    runs = K._runs(1000, tiles)
-    assert len(tiles) >= K._SPLIT_TILES and len(runs) == K._RUNS
-    assert [t for run in runs for t in run] == tiles
-    pairs = [sum((i1 - i0) * (1000 - i0) for i0, i1 in run) for run in runs]
-    assert max(pairs) - min(pairs) < 2 * K._TILE_ELEMENTS
+    """The benchmark's m = 300 batches and the CLI's batches of up to 200
+    tests walk unsplit, with a region mass or on the full line alone, in
+    tiles that share one working set; m = 1000 with a mass and m = 4000 on
+    the full line split into runs of about equal pairs."""
+    assert (K._tile_elements(True), K._tile_elements(False)) == (1 << 14, 40960)
+    for has_mass, m in ((True, 1000), (False, 4000)):
+        size = K._tile_elements(has_mass)
+        assert len(K._tiles(200, size)) < len(K._tiles(300, size)) < K._SPLIT_TILES
+        tiles = K._tiles(m, size)
+        runs = K._runs(m, tiles)
+        assert len(tiles) >= K._SPLIT_TILES and len(runs) == K._RUNS
+        assert [t for run in runs for t in run] == tiles
+        pairs = [sum((i1 - i0) * (m - i0) for i0, i1 in run) for run in runs]
+        assert max(pairs) - min(pairs) < 2 * size
+
+
+def test_workspace_arrays_start_on_cache_lines():
+    for arrays, size in ((2, 1), (4, 16383), (5, K._TILE_ELEMENTS), (2, 40960)):
+        work = K._workspace(arrays, size)
+        assert len(work) == arrays
+        assert all(w.size >= size and w.ctypes.data % 64 == 0 for w in work)
+
+
+@pytest.mark.parametrize("pi_h", [1.0, 0.1])
+def test_full_line_tiles_match_mass_sized_tiles(pi_h, monkeypatch):
+    """The m = 4000 full-line walk in its own tiles and in the 2**14-entry
+    tiles of a walk with a region mass: the same pairs, summed in other
+    tiles."""
+    x, se = _batch(4000, 11)
+    h0, h1 = SPLIT_CASES[2][1:]
+    got = _paired(x, se, h0, h1, pi_h)
+    monkeypatch.setattr(K, "_tile_elements", lambda has_mass: 1 << 14)
+    want = _paired(x, se, h0, h1, pi_h)
+    assert np.array_equal(got[0], want[0])
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("m, h0, h1", SPLIT_CASES, ids=["m1000-below/above",
-                                                       "m2000-interval/full"])
+                                                       "m2000-interval/full",
+                                                       "m4000-point/full"])
 @pytest.mark.parametrize("pi_h", [1.0, 0.1])
 def test_split_rows_against_cross_marginal(m, h0, h1, pi_h, monkeypatch):
     """Sampled rows of split walks against the scalar term-by-term sum."""
